@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -23,19 +22,17 @@ from .markov import (
     Distribution,
     RateMatrix,
     check_balance,
-    integrate_master_equation,
+    horizon_steps,
     stationary_distribution,
 )
 from .measures import (
     f_divergence,
     generalized_lautum_information,
     generalized_mutual_information,
-    kl_divergence,
     measure_family_functional,
-    shannon_entropy,
     zakai_ziv_functional,
 )
-from .monotonicity import TRACE_KINDS, TimeSeries, trace_functional
+from .monotonicity import TRACE_KINDS, trace_functional
 
 __all__ = ["ScenarioConfig", "run_scenario", "emit_report", "main"]
 
@@ -49,7 +46,6 @@ class ScenarioConfig:
     kind: str
     options: dict
     tol: float = 1e-9
-    seed: int = 42
     out: str | None = None
     fmt: str | None = None
 
@@ -68,35 +64,9 @@ def _parse_init(token: str, n: int) -> Distribution:
     return diskio.load_distribution(token)
 
 
-def _continuous_trace(chain: RateMatrix, cfg: ScenarioConfig) -> TimeSeries:
-    opts = cfg.options
-    kind = opts["functional"]
-    if kind not in ("entropy", "kl_to_stationary", "kl_from_stationary"):
-        raise BadParamsError(f"functional {kind!r} is not available on rate matrices")
-    if opts.get("init") is None:
-        raise MissingInitError("evolve needs --init")
-    init = _parse_init(opts["init"], chain.n)
-    dt = opts.get("dt") or 0.01
-    horizon = opts.get("horizon") or 1.0
-    path = integrate_master_equation(chain, init, dt, horizon)
-    times = np.array([t for t, _ in path])
-    if kind == "entropy":
-        values = [shannon_entropy(p) for _, p in path]
-    elif kind == "kl_to_stationary":
-        pi = stationary_distribution(chain).probs
-        values = [kl_divergence(p.probs, pi) for _, p in path]
-    else:
-        pi = stationary_distribution(chain).probs
-        values = [kl_divergence(pi, p.probs) for _, p in path]
-    return TimeSeries(times, values)
-
-
 def _run_evolve(cfg: ScenarioConfig):
     opts = cfg.options
     chain = diskio.load_chain(opts["chain"])
-    if isinstance(chain, RateMatrix):
-        return "trace", _continuous_trace(chain, cfg)
-
     inits = {}
     if opts.get("init") is not None:
         inits["init"] = _parse_init(opts["init"], chain.n)
@@ -105,9 +75,9 @@ def _run_evolve(cfg: ScenarioConfig):
     if opts.get("family") is not None:
         inits["family"] = diskio.load_family(opts["family"])
     q = parse_q_spec(opts["q"]) if opts.get("q") else None
-    series = trace_functional(
-        opts["functional"], chain, q=q, inits=inits, steps=opts["steps"]
-    )
+    dt = opts["dt"] if isinstance(chain, RateMatrix) else None
+    steps = opts["steps"] if dt is None else horizon_steps(dt, opts["horizon"])
+    series = trace_functional(opts["functional"], chain, q=q, inits=inits, steps=steps, dt=dt)
     return "trace", series
 
 
@@ -213,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Information functionals over finite Markov dynamics.",
     )
     parser.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
-    parser.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
     parser.add_argument("--out", help="output path (stdout when omitted)")
     parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
     sub = parser.add_subparsers(dest="kind", required=True)
@@ -226,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--family", help="measure family file for v_functional")
     evolve.add_argument("--q", help="convex function spec, e.g. neg_pow:0.5")
     evolve.add_argument("--steps", type=int, default=50)
-    evolve.add_argument("--dt", type=float, help="step size for rate matrices")
-    evolve.add_argument("--horizon", type=float, help="end time for rate matrices")
+    evolve.add_argument("--dt", type=float, default=0.01, help="step size for rate matrices")
+    evolve.add_argument("--horizon", type=float, default=1.0, help="end time for rate matrices")
 
     check = sub.add_parser("check", help="balance diagnostics for a chain")
     check.add_argument("--chain", required=True)
@@ -262,13 +231,12 @@ def main(argv=None) -> int:
     options = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("kind", "tol", "seed", "out", "fmt")
+        if k not in ("kind", "tol", "out", "fmt")
     }
     cfg = ScenarioConfig(
         kind=args.kind,
         options=options,
         tol=args.tol,
-        seed=args.seed,
         out=args.out,
         fmt=args.fmt,
     )
@@ -279,9 +247,6 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ParseError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     return 0

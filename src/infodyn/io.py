@@ -30,9 +30,7 @@ __all__ = [
     "load_family",
     "write_json",
     "trace_csv_text",
-    "write_trace_csv",
     "report_csv_text",
-    "write_report_csv",
     "verdict_to_dict",
     "series_to_dict",
 ]
@@ -40,14 +38,15 @@ __all__ = [
 SIGNIFICANT_DIGITS = 12
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
 def _read_json(path) -> dict:
+    text = Path(path).read_text()
     try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError too
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
@@ -159,19 +158,11 @@ def trace_csv_text(series: TimeSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace_csv(series: TimeSeries, path) -> None:
-    Path(path).write_text(trace_csv_text(series))
-
-
 def report_csv_text(report: BoundReport) -> str:
     lines = ["s,psi,d"]
     for s, p, d in zip(report.s_grid, report.psi_values, report.d_values):
         lines.append(f"{_fmt(s)},{_fmt(p)},{_fmt(d)}")
     return "\n".join(lines) + "\n"
-
-
-def write_report_csv(report: BoundReport, path) -> None:
-    Path(path).write_text(report_csv_text(report))
 
 
 def verdict_to_dict(v: MonotonicityVerdict) -> dict:

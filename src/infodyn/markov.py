@@ -6,7 +6,11 @@ matrices W with zero diagonal; the master equation
 
     dp_t(x)/dt = sum_x' [ p_t(x') W[x', x] - p_t(x) W[x, x'] ]
 
-is integrated with a fixed-step classical 4th-order scheme.  Measure
+is integrated with a fixed-step classical 4th-order scheme.  For this
+linear equation one RK4 step is exactly p <- p R, R = sum_{k<=4} (dt G)^k / k!
+with G the generator, so both time scales share one engine: `propagate`
+pushes stacked row vectors through T, or through R built once, into one
+trajectory array that is validated at the boundary, never per step.  Measure
 families evolve by the same linear recursion as distributions, without any
 normalization, which is what makes the monotone functionals downstream
 well-defined.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
@@ -35,6 +40,9 @@ __all__ = [
     "MeasureFamily",
     "BalanceReport",
     "stationary_distribution",
+    "step_kernel",
+    "propagate",
+    "horizon_steps",
     "evolve_distribution",
     "evolve_measures",
     "integrate_master_equation",
@@ -265,19 +273,74 @@ def _check_discrete(chain: Chain) -> StochasticMatrix:
     return chain
 
 
-def evolve_distribution(chain: StochasticMatrix, init: Distribution, steps: int) -> list[Distribution]:
-    """Forward trajectory [p_0, p_1, ..., p_steps] with p_{t+1} = p_t T."""
-    chain = _check_discrete(chain)
-    if init.n != chain.n:
-        raise DimensionMismatchError(f"init has {init.n} states, chain has {chain.n}")
+def step_kernel(chain: Chain, dt: float | None = None) -> np.ndarray:
+    """One-step propagator: T itself, or the RK4 step matrix R for rates.
+
+    R = sum_m a_m M^m with M = c I + dt G >= 0, c = dt * max exit rate and
+    a_m = T_{4-m}(-c) / m!, T_k the degree-k Taylor polynomial of e^x.  All
+    a_m are positive exactly when c < 1 (else UnstableStepError), so R is a
+    Markov kernel with no entry made negative by rounding.  The a_0 I term
+    is replaced by whatever makes each row sum to 1, which keeps mass from
+    drifting over long runs.
+    """
+    if isinstance(chain, StochasticMatrix):
+        if dt is not None:
+            raise BadParamsError("dt applies to rate matrices only")
+        return chain.matrix
+    if dt is None or not dt > 0.0:
+        raise BadParamsError("rate matrices need a step dt > 0")
+    exit_rates = chain.matrix.sum(axis=1)
+    c = float(exit_rates.max()) * dt
+    if c >= 1.0:
+        raise UnstableStepError(
+            f"dt={dt} too large for max exit rate {exit_rates.max()} (need product < 1)"
+        )
+    diag = np.diag_indices(chain.n)
+    m = dt * chain.matrix
+    m[diag] = c - dt * exit_rates
+    taylor = np.cumsum([(-c) ** k / factorial(k) for k in range(5)])
+    r = taylor[0] / 24.0 * m
+    for k in (3, 2, 1):
+        r[diag] += taylor[4 - k] / factorial(k)
+        r = r @ m
+    r[diag] += 1.0 - r.sum(axis=1)  # the a_0 I term, taken up to row sums of exactly 1
+    return r
+
+
+def propagate(
+    chain: Chain, rows: np.ndarray, steps: int, dt: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectory (times, laws) of row vectors under the chain's kernel.
+
+    `rows` has shape (..., n); laws has shape (steps+1, *rows.shape) with
+    laws[t+1] = laws[t] @ kernel.  Times count steps for discrete chains and
+    are multiples of `dt` for rate matrices.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 0 or rows.shape[-1] != chain.n:
+        raise DimensionMismatchError(f"rows have shape {rows.shape}, chain has {chain.n} states")
     if steps < 0:
         raise BadParamsError("steps must be nonnegative")
-    out = [init]
-    p = init.probs
-    for _ in range(int(steps)):
-        p = p @ chain.matrix
-        out.append(Distribution(p))
-    return out
+    kernel = step_kernel(chain, dt)
+    laws = np.empty((int(steps) + 1, *rows.shape))
+    laws[0] = rows
+    for t in range(len(laws) - 1):
+        np.matmul(laws[t], kernel, out=laws[t + 1])
+    times = np.arange(len(laws), dtype=float)
+    return (times if dt is None else times * dt), laws
+
+
+def horizon_steps(dt: float, horizon: float) -> int:
+    """Number of whole dt steps that fit in the horizon."""
+    if not (dt > 0.0 and horizon >= dt):
+        raise BadParamsError("need dt > 0 and horizon >= dt")
+    return int(np.floor(horizon / dt + 1e-9))
+
+
+def evolve_distribution(chain: StochasticMatrix, init: Distribution, steps: int) -> list[Distribution]:
+    """Forward trajectory [p_0, p_1, ..., p_steps] with p_{t+1} = p_t T."""
+    _, laws = propagate(_check_discrete(chain), init.probs, steps)
+    return [init, *map(Distribution, laws[1:])]
 
 
 def evolve_measures(chain: StochasticMatrix, family: MeasureFamily, steps: int) -> list[MeasureFamily]:
@@ -286,17 +349,8 @@ def evolve_measures(chain: StochasticMatrix, family: MeasureFamily, steps: int) 
     Every row obeys mu_{t+1}(x) = sum_x' mu_t(x') P(x | x'); total mass of
     each row is conserved because the kernel rows sum to one.
     """
-    chain = _check_discrete(chain)
-    if family.n != chain.n:
-        raise DimensionMismatchError(f"family has {family.n} states, chain has {chain.n}")
-    if steps < 0:
-        raise BadParamsError("steps must be nonnegative")
-    out = [family]
-    m = family.measures
-    for _ in range(int(steps)):
-        m = m @ chain.matrix
-        out.append(MeasureFamily(m, require_positive=family.require_positive))
-    return out
+    _, laws = propagate(_check_discrete(chain), family.measures, steps)
+    return [family, *(MeasureFamily(m, require_positive=family.require_positive) for m in laws[1:])]
 
 
 def integrate_master_equation(
@@ -310,28 +364,8 @@ def integrate_master_equation(
     """
     if not isinstance(rates, RateMatrix):
         raise BadParamsError("operation requires a continuous-time chain")
-    if init.n != rates.n:
-        raise DimensionMismatchError(f"init has {init.n} states, chain has {rates.n}")
-    if dt <= 0.0 or horizon < dt:
-        raise BadParamsError("need dt > 0 and horizon >= dt")
-    exit_rate = float(rates.matrix.sum(axis=1).max())
-    if exit_rate * dt >= 1.0:
-        raise UnstableStepError(
-            f"dt={dt} too large for max exit rate {exit_rate} (need product < 1)"
-        )
-
-    gen = rates.generator()
-    steps = int(np.floor(horizon / dt + 1e-9))
-    p = init.probs
-    out = [(0.0, init)]
-    for k in range(1, steps + 1):
-        k1 = p @ gen
-        k2 = (p + 0.5 * dt * k1) @ gen
-        k3 = (p + 0.5 * dt * k2) @ gen
-        k4 = (p + dt * k3) @ gen
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append((k * dt, Distribution(p)))
-    return out
+    times, laws = propagate(rates, init.probs, horizon_steps(dt, horizon), dt)
+    return [(0.0, init), *((float(t), Distribution(p)) for t, p in zip(times[1:], laws[1:]))]
 
 
 def check_balance(chain: Chain, pi: Distribution, tol: float = 1e-9) -> BalanceReport:

@@ -134,19 +134,22 @@ def _require_arity(q: ConvexFunction, arity: int) -> None:
         raise ArityMismatchError(f"{q.name} has arity {q.arity}, expected {arity}")
 
 
-def _ratio_functional(q: ConvexFunction, reference: np.ndarray, companion: np.ndarray) -> float:
-    """sum ref * Q(companion / ref) with the null-cell conventions above."""
+def _ratio_functional(q: ConvexFunction, reference: np.ndarray, companion: np.ndarray):
+    """sum ref * Q(companion / ref) over the last axis, with the null-cell conventions above.
+
+    Leading axes broadcast, so one call evaluates a whole trajectory.
+    """
     pos = reference > 0.0
-    tail = 0.0
-    extinct = companion[~pos]
-    if extinct.size and np.any(extinct > 0.0):
-        if q.recession_slope is None:
-            raise SupportMismatchError(
-                f"companion mass on a null reference cell and {q.name} grows superlinearly"
-            )
-        tail = q.recession_slope * float(extinct.sum())
-    values = q.batch(companion[pos] / reference[pos])
-    return float(np.sum(reference[pos] * values)) + tail
+    if pos.all():
+        return np.sum(reference * q.batch(companion / reference), axis=-1)
+    extinct = np.where(pos, 0.0, companion)
+    if q.recession_slope is None and np.any(extinct > 0.0):
+        raise SupportMismatchError(
+            f"companion mass on a null reference cell and {q.name} grows superlinearly"
+        )
+    values = q.batch(np.where(pos, companion / np.where(pos, reference, 1.0), 1.0))
+    tail = (q.recession_slope or 0.0) * extinct.sum(axis=-1)
+    return np.sum(np.where(pos, reference * values, 0.0), axis=-1) + tail
 
 
 def f_divergence(q: ConvexFunction, p1: Distribution, p2: Distribution) -> float:
@@ -159,7 +162,7 @@ def f_divergence(q: ConvexFunction, p1: Distribution, p2: Distribution) -> float
     _require_arity(q, 1)
     if p1.n != p2.n:
         raise DimensionMismatchError(f"laws have {p1.n} and {p2.n} states")
-    return _ratio_functional(q, p1.probs, p2.probs)
+    return float(_ratio_functional(q, p1.probs, p2.probs))
 
 
 def generalized_mutual_information(q: ConvexFunction, joint: JointDistribution) -> float:
@@ -170,7 +173,7 @@ def generalized_mutual_information(q: ConvexFunction, joint: JointDistribution) 
     """
     _require_arity(q, 1)
     prod = np.outer(joint.marginal_x(), joint.marginal_y())
-    return _ratio_functional(q, joint.table, prod)
+    return float(_ratio_functional(q, joint.table.ravel(), prod.ravel()))
 
 
 def generalized_lautum_information(q: ConvexFunction, joint: JointDistribution) -> float:
@@ -182,7 +185,7 @@ def generalized_lautum_information(q: ConvexFunction, joint: JointDistribution) 
     """
     _require_arity(q, 1)
     prod = np.outer(joint.marginal_x(), joint.marginal_y())
-    return _ratio_functional(q, prod, joint.table)
+    return float(_ratio_functional(q, prod.ravel(), joint.table.ravel()))
 
 
 def zakai_ziv_functional(
@@ -273,7 +276,7 @@ def mixed_measure_information(
     companion = _mixture(joint.table, px, cond, t)
     if np.any(companion < 0.0):
         raise SupportMismatchError("t blend goes negative, outside the function domain")
-    return _ratio_functional(q, reference.ravel(), companion.ravel())
+    return float(_ratio_functional(q, reference.ravel(), companion.ravel()))
 
 
 def simple_extension_coefficients(joint: JointDistribution, s: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Traces of information functionals along a chain, and their verdicts.
 
 Each trace kind maps a trajectory to a scalar series indexed by step
-count.  The point of the module is the empirical side of the second-law
+count, or by time for rate matrices.  The point of the module is the empirical side of the second-law
 statements: entropy of a doubly stochastic chain never falls, divergence
 to the stationary law never rises, and the generalized functionals drift
 one way only.  `verdict` turns a series into a pass/fail record with the
@@ -15,8 +15,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .convexity import ConvexFunction
+from .convexity import ConvexFunction, builtin
 from .errors import (
+    ArityMismatchError,
     BadParamsError,
     DimensionMismatchError,
     EmptySeriesError,
@@ -29,18 +30,11 @@ from .markov import (
     MeasureFamily,
     RateMatrix,
     StochasticMatrix,
-    evolve_distribution,
-    evolve_measures,
+    propagate,
     stationary_distribution,
+    step_kernel,
 )
-from .measures import (
-    JointDistribution,
-    f_divergence,
-    generalized_mutual_information,
-    kl_divergence,
-    measure_family_functional,
-    shannon_entropy,
-)
+from .measures import _cellwise_functional, _ratio_functional
 
 __all__ = [
     "TimeSeries",
@@ -66,6 +60,10 @@ TRACE_KINDS = (
 DIRECTIONS = ("non_increasing", "non_decreasing")
 
 SYMMETRY_ATOL = 1e-12
+
+_U_LOG_U = builtin("u_log_u")
+_NEG_LOG = builtin("neg_log")
+_NEG_SQRT = builtin("neg_sqrt")
 
 
 @dataclass(frozen=True)
@@ -105,18 +103,21 @@ def _need(inits: Mapping, key: str, kind: str):
     return inits[key]
 
 
-def _need_q(q: ConvexFunction | None, kind: str) -> ConvexFunction:
+def _need_q(q: ConvexFunction | None, kind: str, arity: int = 1) -> ConvexFunction:
     if q is None:
         raise MissingInitError(f"trace kind {kind!r} needs a convex function")
+    if q.arity != arity:
+        raise ArityMismatchError(f"{q.name} has arity {q.arity}, {kind!r} needs {arity}")
     return q
 
 
 def trace_functional(
     kind: str,
-    chain: StochasticMatrix,
+    chain: StochasticMatrix | RateMatrix,
     q: ConvexFunction | None = None,
     inits: Mapping | None = None,
     steps: int = 50,
+    dt: float | None = None,
 ) -> TimeSeries:
     """Evaluate one named functional along the trajectory of a chain.
 
@@ -125,57 +126,59 @@ def trace_functional(
     and ``family`` (a MeasureFamily) for ``v_functional``.  Kinds that
     compare against the stationary law compute it on the fly, so the chain
     must be ergodic for those.
+
+    A RateMatrix needs the step `dt`; its trajectory is the RK4 solution of
+    the master equation at t = 0, dt, ..., steps * dt.  Every kind is
+    evaluated on the whole (steps+1, n) array of laws at once, and the RK4
+    step is itself a Markov kernel, so all kinds work in both time scales.
     """
     if kind not in TRACE_KINDS:
         raise BadParamsError(f"unknown trace kind {kind!r}")
-    if steps < 0:
-        raise BadParamsError("steps must be nonnegative")
-    times = np.arange(steps + 1, dtype=float)
 
     if kind == "v_functional":
         family = _need(inits, "family", kind)
         if not isinstance(family, MeasureFamily):
             raise BadParamsError("inits['family'] must be a MeasureFamily")
-        qq = _need_q(q, kind)
-        fams = evolve_measures(chain, family, steps)
-        return TimeSeries(times, [measure_family_functional(qq, f) for f in fams])
+        qq = _need_q(q, kind, family.k)
+        times, laws = propagate(chain, family.measures, steps, dt)
+        return TimeSeries(times, [_cellwise_functional(qq, m[0], m[1:]) for m in laws])
 
     init = _need(inits, "init", kind)
     if not isinstance(init, Distribution):
         raise BadParamsError("inits['init'] must be a Distribution")
-    traj = evolve_distribution(chain, init, steps)
-
-    if kind == "entropy":
-        values = [shannon_entropy(p) for p in traj]
-    elif kind == "kl_pair":
+    rows = init.probs
+    if kind == "kl_pair":
         other = _need(inits, "init2", kind)
         if not isinstance(other, Distribution):
             raise BadParamsError("inits['init2'] must be a Distribution")
-        traj2 = evolve_distribution(chain, other, steps)
-        values = [kl_divergence(p, p2) for p, p2 in zip(traj, traj2)]
+        if other.n != init.n:
+            raise DimensionMismatchError(f"init has {init.n} states, init2 has {other.n}")
+        rows = np.stack([init.probs, other.probs])
+    times, laws = propagate(chain, rows, steps, dt)
+
+    if kind == "entropy":
+        values = -_ratio_functional(_U_LOG_U, np.ones(chain.n), laws)
+    elif kind == "kl_pair":
+        values = _ratio_functional(_NEG_LOG, laws[:, 0], laws[:, 1])
     elif kind == "j_functional":
-        qq = _need_q(q, kind)
-        power = np.eye(chain.n)
-        values = []
-        for t in range(steps + 1):
+        qq, kernel, values = _need_q(q, kind), step_kernel(chain, dt), []
+        joint = np.diag(init.probs)  # law of (X_0, X_t), one n x n step at a time
+        for t, law in enumerate(laws):
             if t > 0:
-                power = power @ chain.matrix
-            joint = JointDistribution(init.probs[:, None] * power)
-            values.append(generalized_mutual_information(qq, joint))
+                joint = joint @ kernel
+            values.append(_ratio_functional(qq, joint.ravel(), np.outer(init.probs, law).ravel()))
     else:
         pi = stationary_distribution(chain).probs
         if kind == "kl_to_stationary":
-            values = [kl_divergence(p.probs, pi) for p in traj]
+            values = _ratio_functional(_NEG_LOG, laws, pi)
         elif kind == "kl_from_stationary":
-            values = [kl_divergence(pi, p.probs) for p in traj]
+            values = _ratio_functional(_NEG_LOG, pi, laws)
         elif kind == "u_functional":
-            qq = _need_q(q, kind)
-            pi_dist = Distribution(pi)
-            values = [f_divergence(qq, pi_dist, p) for p in traj]
+            values = _ratio_functional(_need_q(q, kind), pi, laws)
         elif kind == "circuit_energy":
-            values = [0.5 * float(np.sum(p.probs**2 / pi)) for p in traj]
+            values = 0.5 * np.sum(laws**2 / pi, axis=-1)
         else:  # bhattacharyya
-            values = [float(np.sum(np.sqrt(pi * p.probs))) for p in traj]
+            values = -_ratio_functional(_NEG_SQRT, laws, pi)
 
     return TimeSeries(times, values)
 

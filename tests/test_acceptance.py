@@ -18,6 +18,7 @@ from infodyn import (
     JointDistribution,
     PairMeasure,
     RateMatrix,
+    TRACE_KINDS,
     builtin,
     build_example_chain,
     check_balance,
@@ -44,6 +45,9 @@ from infodyn import (
 )
 
 CONFIG_PAIRS = ((3, 2), (5, 4), (7, 4))
+
+#: Trace kinds the paper predicts to rise; every other kind never rises.
+RISING = {"entropy": "non_decreasing", "bhattacharyya": "non_decreasing"}
 
 
 def _gate(label: str, failures: list) -> None:
@@ -139,7 +143,9 @@ def test_acceptance_04_uniform_crossover_is_the_source_optimum():
 def test_acceptance_05_functionals_are_monotone_along_chains():
     start = time.perf_counter()
     rng = np.random.default_rng(505)
+    rate_rng = np.random.default_rng(5050)
     qs = all_builtins()
+    tails = [q for q in qs if q.recession_slope is not None]
     failures = []
 
     for trial in range(200):
@@ -180,10 +186,36 @@ def test_acceptance_05_functionals_are_monotone_along_chains():
         if not verdict(series, "non_decreasing", tol=1e-9).holds:
             failures.append(("entropy", trial))
 
+        # Every kind on rate matrices, through the RK4 step kernel; symmetric
+        # rates for entropy.  A separate generator keeps the draws above fixed.
+        m = int(rate_rng.integers(2, 7))
+        w = rate_rng.random((m, m)) * 2.0
+        np.fill_diagonal(w, 0.0)
+        k = 1 + trial % 3
+        inits = {
+            "init": random_distribution(rate_rng, m),
+            "init2": random_distribution(rate_rng, m),
+            "family": random_family(rate_rng, m, k),
+        }
+        for kind in TRACE_KINDS:
+            rates = RateMatrix(0.5 * (w + w.T) if kind == "entropy" else w)
+            q = {
+                "v_functional": multi_convex(k),
+                # the t = 0 joint is diagonal, so Q must grow at most linearly
+                "j_functional": tails[trial % len(tails)],
+            }.get(kind, qs[trial % len(qs)])
+            series = trace_functional(
+                kind, rates, q=q, inits=inits, steps=50,
+                dt=0.9 / rates.matrix.sum(axis=1).max(),
+            )
+            direction = RISING.get(kind, "non_increasing")
+            if not verdict(series, direction, tol=1e-9).holds:
+                failures.append(("rates", kind, trial))
+
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
         failures.append(("time", elapsed))
-    _gate("200 random ergodic chains keep every trace monotone at 1e-9", failures)
+    _gate("200 random ergodic chains and rate matrices keep every trace monotone at 1e-9", failures)
 
 
 def test_acceptance_06_processing_never_creates_information():

@@ -261,11 +261,48 @@ def test_cli_evolve_rate_matrix(capsys, tmp_path):
     assert len(lines) == 12
     assert lines[1].split(",")[1] == "0"
 
-    code, _ = _run(
+    code, out = _run(
         capsys, "evolve", "--chain", str(path), "--functional", "j_functional",
         "--init", "delta0", "--q", "neg_log",
     )
+    assert code == 0
+    values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+    assert len(values) == 101
+    assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+    # dt * max exit rate must stay below 1
+    code, _ = _run(
+        capsys, "evolve", "--chain", str(path), "--functional", "entropy",
+        "--init", "delta0", "--dt", "1.5", "--horizon", "3.0",
+    )
     assert code == 2
+
+
+def test_cli_evolve_rejects_zero_step_and_horizon(capsys, tmp_path):
+    path = tmp_path / "rates.json"
+    save_chain(RateMatrix([[0.0, 1.0], [1.0, 0.0]]), path)
+    for flag in ("--dt", "--horizon"):
+        code, out = _run(
+            capsys, "evolve", "--chain", str(path), "--functional", "entropy",
+            "--init", "delta0", flag, "0",
+        )
+        assert code == 2 and out == ""
+
+
+def test_cli_evolve_survives_row_sum_drift(capsys, tmp_path):
+    """Rows summing to 1 + 5e-13 are valid input and stay valid for 2000 steps."""
+    chain = tmp_path / "drift.json"
+    m = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]]) * (1.0 + 5e-13)
+    save_chain(StochasticMatrix(m), chain)
+    other = tmp_path / "p2.json"
+    save_distribution(Distribution([0.7, 0.2, 0.1]), other)
+    for kind in ("entropy", "kl_pair"):
+        code, out = _run(
+            capsys, "evolve", "--chain", str(chain), "--functional", kind,
+            "--init", "delta0", "--init2", str(other), "--steps", "2000",
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2002
 
 
 def test_cli_check_detailed_balance(capsys, tmp_path):
@@ -292,6 +329,21 @@ def test_cli_check_with_wrong_candidate_law(capsys, tmp_path, mod3_file):
     doc = json.loads(out)
     assert doc["satisfies_global_balance"] is False
     assert doc["satisfies_detailed_balance"] is False
+
+
+def test_non_finite_json_tokens_are_parse_errors(capsys, tmp_path):
+    good = tmp_path / "good.json"
+    save_distribution(Distribution([0.5, 0.5]), good)
+    for token in ("NaN", "Infinity", "-Infinity"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"probs": [{token}, 1.0]}}')
+        with pytest.raises(ParseError):
+            load_distribution(bad)
+        code, out = _run(
+            capsys, "measure", "--op", "fdiv", "--q", "neg_log",
+            "--p1", str(good), "--p2", str(bad),
+        )
+        assert code == 1 and out == ""
 
 
 def test_cli_measure_fdiv(capsys, tmp_path):

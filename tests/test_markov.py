@@ -1,5 +1,7 @@
 """Chain construction, stationarity, balance, and evolution."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from infodyn import (
     evolve_measures,
     integrate_master_equation,
     stationary_distribution,
+    step_kernel,
 )
 
 
@@ -257,6 +260,50 @@ def test_master_equation_guards_against_coarse_steps():
         integrate_master_equation(rates, Distribution([1.0, 0.0]), 0.05, 1.0)
     with pytest.raises(BadParamsError):
         integrate_master_equation(rates, Distribution([1.0, 0.0]), 0.0, 1.0)
+
+
+def _exact_stationary(w):
+    """Stationary law of the rates in exact rational arithmetic."""
+    n = len(w)
+    g = [[Fraction(float(x)) for x in row] for row in w]
+    for i in range(n):
+        g[i][i] = -sum(g[i][j] for j in range(n) if j != i)
+    # pi G = 0 with the last balance equation replaced by sum(pi) = 1
+    a = [[g[j][i] for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    a.append([Fraction(1)] * (n + 1))
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return np.array([float(a[i][n] / a[i][i]) for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 6), st.floats(0.01, 0.999))
+def test_rk4_step_matrix_is_a_markov_kernel(seed, n, stiffness):
+    """R is nonnegative, stochastic, one RK4 step, and keeps the rates' law."""
+    w = 10.0 ** np.random.default_rng(seed).uniform(-8.0, 3.0, (n, n))
+    np.fill_diagonal(w, 0.0)
+    rates = RateMatrix(w)
+    dt = stiffness / w.sum(axis=1).max()
+    r = step_kernel(rates, dt)
+    assert np.all(r >= 0.0)
+    assert np.abs(r.sum(axis=1) - 1.0).max() <= 4.5e-16
+
+    g = rates.generator()
+    p = np.eye(n)
+    k1 = p @ g
+    k2 = (p + 0.5 * dt * k1) @ g
+    k3 = (p + 0.5 * dt * k2) @ g
+    k4 = (p + dt * k3) @ g
+    stagewise = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.abs(r - stagewise).max() <= 1e-13
+
+    pi = _exact_stationary(w)
+    assert np.abs(pi @ r - pi).max() <= 1e-15
 
 
 # ---------------------------------------------------------------- balance

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import doubly_stochastic_chain, multi_convex, random_chain, random_distribution, random_family
 from infodyn import (
+    ArityMismatchError,
     BadParamsError,
     DimensionMismatchError,
     Distribution,
@@ -17,6 +18,7 @@ from infodyn import (
     RateMatrix,
     StochasticMatrix,
     TimeSeries,
+    UnstableStepError,
     ZeroProbabilityError,
     builtin,
     build_example_chain,
@@ -200,6 +202,18 @@ def test_j_functional_starts_at_entropy_and_decays():
     assert verdict(series, "non_increasing").holds
 
 
+def test_traces_survive_row_sum_drift():
+    """Rows summing to 1 + 5e-13 pass construction and must not fail mid-trace."""
+    rng = np.random.default_rng(41)
+    base = random_chain(rng, 4)
+    drifting = StochasticMatrix(base.matrix * (1.0 + 5e-13))
+    inits = {"init": random_distribution(rng, 4), "init2": random_distribution(rng, 4)}
+    for kind in ("entropy", "kl_pair"):
+        series = trace_functional(kind, drifting, inits=inits, steps=2000)
+        exact = trace_functional(kind, base, inits=inits, steps=2000)
+        assert np.abs(series.values - exact.values).max() < 1e-8
+
+
 def test_trace_argument_validation():
     chain = build_example_chain("mod_k_walk", K=3)
     init = Distribution([1.0, 0.0, 0.0])
@@ -217,6 +231,17 @@ def test_trace_argument_validation():
         trace_functional("v_functional", chain, q=builtin("neg_log"), inits={})
     with pytest.raises(BadParamsError):
         trace_functional("entropy", chain, inits={"init": [1, 0, 0]})
+    # the step dt belongs to rate matrices, and they cannot do without it
+    with pytest.raises(BadParamsError):
+        trace_functional("entropy", chain, inits={"init": init}, dt=0.1)
+    rates = RateMatrix([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    for dt in (None, 0.0):
+        with pytest.raises(BadParamsError):
+            trace_functional("entropy", rates, inits={"init": init}, dt=dt)
+    with pytest.raises(UnstableStepError):
+        trace_functional("entropy", rates, inits={"init": init}, dt=1.0)
+    with pytest.raises(ArityMismatchError):
+        trace_functional("j_functional", rates, q=multi_convex(2), inits={"init": init}, dt=0.1)
 
 
 # ---------------------------------------------------------- entropy rate
