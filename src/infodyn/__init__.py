@@ -39,11 +39,8 @@ from .markov import (
     check_balance,
     evolve_distribution,
     evolve_measures,
-    horizon_steps,
     integrate_master_equation,
-    propagate,
     stationary_distribution,
-    step_kernel,
 )
 from .convexity import (
     BUILTIN_NAMES,

@@ -77,7 +77,9 @@ def _run_evolve(cfg: ScenarioConfig):
     q = parse_q_spec(opts["q"]) if opts.get("q") else None
     dt = opts["dt"] if isinstance(chain, RateMatrix) else None
     steps = opts["steps"] if dt is None else horizon_steps(dt, opts["horizon"])
-    series = trace_functional(opts["functional"], chain, q=q, inits=inits, steps=steps, dt=dt)
+    series = trace_functional(
+        opts["functional"], chain, q=q, inits=inits, steps=steps, dt=dt
+    )
     return "trace", series
 
 

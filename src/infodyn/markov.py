@@ -8,9 +8,10 @@ matrices W with zero diagonal; the master equation
 
 is integrated with a fixed-step classical 4th-order scheme.  For this
 linear equation one RK4 step is exactly p <- p R, R = sum_{k<=4} (dt G)^k / k!
-with G the generator, so both time scales share one engine: `propagate`
-pushes stacked row vectors through T, or through R built once, into one
-trajectory array that is validated at the boundary, never per step.  Measure
+with G the generator, so both time scales share one engine: `trajectory`
+steps stacked row vectors through T, or through R built once (as p + p D
+with D = R - I), and `propagate` collects them into one array that is
+validated at the boundary, never per step.  Measure
 families evolve by the same linear recursion as distributions, without any
 normalization, which is what makes the monotone functionals downstream
 well-defined.
@@ -19,6 +20,7 @@ well-defined.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -40,7 +42,7 @@ __all__ = [
     "MeasureFamily",
     "BalanceReport",
     "stationary_distribution",
-    "step_kernel",
+    "trajectory",
     "propagate",
     "horizon_steps",
     "evolve_distribution",
@@ -273,61 +275,76 @@ def _check_discrete(chain: Chain) -> StochasticMatrix:
     return chain
 
 
-def step_kernel(chain: Chain, dt: float | None = None) -> np.ndarray:
-    """One-step propagator: T itself, or the RK4 step matrix R for rates.
+def _rk4_increment(rates: RateMatrix, dt: float | None) -> np.ndarray:
+    """D = R - I for the RK4 step matrix R, built without subtraction.
 
     R = sum_m a_m M^m with M = c I + dt G >= 0, c = dt * max exit rate and
     a_m = T_{4-m}(-c) / m!, T_k the degree-k Taylor polynomial of e^x.  All
-    a_m are positive exactly when c < 1 (else UnstableStepError), so R is a
-    Markov kernel with no entry made negative by rounding.  The a_0 I term
-    is replaced by whatever makes each row sum to 1, which keeps mass from
-    drifting over long runs.
+    a_m are positive exactly when c < 1 (else UnstableStepError), so the
+    off-diagonal entries are sums of nonnegative terms.  The diagonal is
+    minus the off-diagonal row sum, so a step p + p D conserves mass and
+    rounds on the scale of the increment, as stagewise RK4 does.
     """
-    if isinstance(chain, StochasticMatrix):
-        if dt is not None:
-            raise BadParamsError("dt applies to rate matrices only")
-        return chain.matrix
     if dt is None or not dt > 0.0:
         raise BadParamsError("rate matrices need a step dt > 0")
-    exit_rates = chain.matrix.sum(axis=1)
+    exit_rates = rates.matrix.sum(axis=1)
     c = float(exit_rates.max()) * dt
     if c >= 1.0:
         raise UnstableStepError(
             f"dt={dt} too large for max exit rate {exit_rates.max()} (need product < 1)"
         )
-    diag = np.diag_indices(chain.n)
-    m = dt * chain.matrix
+    diag = np.diag_indices(rates.n)
+    m = dt * rates.matrix
     m[diag] = c - dt * exit_rates
     taylor = np.cumsum([(-c) ** k / factorial(k) for k in range(5)])
-    r = taylor[0] / 24.0 * m
+    d = taylor[0] / 24.0 * m
     for k in (3, 2, 1):
-        r[diag] += taylor[4 - k] / factorial(k)
-        r = r @ m
-    r[diag] += 1.0 - r.sum(axis=1)  # the a_0 I term, taken up to row sums of exactly 1
-    return r
+        d[diag] += taylor[4 - k] / factorial(k)
+        d = d @ m
+    d[diag] = 0.0
+    d[diag] = -d.sum(axis=1)
+    return d
 
 
-def propagate(
+def trajectory(
     chain: Chain, rows: np.ndarray, steps: int, dt: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Trajectory (times, laws) of row vectors under the chain's kernel.
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Lazy (time, law) pairs for t = 0..steps with law_{t+1} = law_t K.
 
-    `rows` has shape (..., n); laws has shape (steps+1, *rows.shape) with
-    laws[t+1] = laws[t] @ kernel.  Times count steps for discrete chains and
-    are multiples of `dt` for rate matrices.
+    `rows` has shape (..., n).  For a discrete chain K = T and times count
+    steps; for rates K is the RK4 step matrix, applied as law + law D, and
+    times are multiples of `dt`.  Arguments are checked, and the kernel
+    built, when the function is called.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 0 or rows.shape[-1] != chain.n:
         raise DimensionMismatchError(f"rows have shape {rows.shape}, chain has {chain.n} states")
     if steps < 0:
         raise BadParamsError("steps must be nonnegative")
-    kernel = step_kernel(chain, dt)
-    laws = np.empty((int(steps) + 1, *rows.shape))
-    laws[0] = rows
-    for t in range(len(laws) - 1):
-        np.matmul(laws[t], kernel, out=laws[t + 1])
-    times = np.arange(len(laws), dtype=float)
-    return (times if dt is None else times * dt), laws
+    rates = isinstance(chain, RateMatrix)
+    if not rates and dt is not None:
+        raise BadParamsError("dt applies to rate matrices only")
+    kernel = _rk4_increment(chain, dt) if rates else chain.matrix
+
+    def walk(law: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
+        yield 0.0, law
+        for k in range(1, int(steps) + 1):
+            law = law + law @ kernel if rates else law @ kernel
+            yield (k * dt if rates else float(k)), law
+
+    return walk(rows)
+
+
+def propagate(
+    chain: Chain, rows: np.ndarray, steps: int, dt: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The whole `trajectory` as arrays: times (steps+1,), laws (steps+1, *rows.shape)."""
+    path = trajectory(chain, rows, steps, dt)
+    times = np.empty(int(steps) + 1)
+    laws = np.empty((int(steps) + 1, *np.shape(rows)))
+    for k, (t, law) in enumerate(path):
+        times[k], laws[k] = t, law
+    return times, laws
 
 
 def horizon_steps(dt: float, horizon: float) -> int:
@@ -350,7 +367,10 @@ def evolve_measures(chain: StochasticMatrix, family: MeasureFamily, steps: int) 
     each row is conserved because the kernel rows sum to one.
     """
     _, laws = propagate(_check_discrete(chain), family.measures, steps)
-    return [family, *(MeasureFamily(m, require_positive=family.require_positive) for m in laws[1:])]
+    return [
+        family,
+        *(MeasureFamily(m, require_positive=family.require_positive) for m in laws[1:]),
+    ]
 
 
 def integrate_master_equation(

@@ -1,11 +1,12 @@
 """Traces of information functionals along a chain, and their verdicts.
 
 Each trace kind maps a trajectory to a scalar series indexed by step
-count, or by time for rate matrices.  The point of the module is the empirical side of the second-law
-statements: entropy of a doubly stochastic chain never falls, divergence
-to the stationary law never rises, and the generalized functionals drift
-one way only.  `verdict` turns a series into a pass/fail record with the
-largest violation and where it happened.
+count, or by time for rate matrices.  The point of the module is the
+empirical side of the second-law statements: entropy of a doubly
+stochastic chain never falls, divergence to the stationary law never
+rises, and the generalized functionals drift one way only.  `verdict`
+turns a series into a pass/fail record with the largest violation and
+where it happened.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .convexity import ConvexFunction, builtin
 from .errors import (
-    ArityMismatchError,
     BadParamsError,
     DimensionMismatchError,
     EmptySeriesError,
@@ -32,9 +32,9 @@ from .markov import (
     StochasticMatrix,
     propagate,
     stationary_distribution,
-    step_kernel,
+    trajectory,
 )
-from .measures import _cellwise_functional, _ratio_functional
+from .measures import _cellwise_functional, _ratio_functional, _require_arity
 
 __all__ = [
     "TimeSeries",
@@ -106,8 +106,7 @@ def _need(inits: Mapping, key: str, kind: str):
 def _need_q(q: ConvexFunction | None, kind: str, arity: int = 1) -> ConvexFunction:
     if q is None:
         raise MissingInitError(f"trace kind {kind!r} needs a convex function")
-    if q.arity != arity:
-        raise ArityMismatchError(f"{q.name} has arity {q.arity}, {kind!r} needs {arity}")
+    _require_arity(q, arity)
     return q
 
 
@@ -128,9 +127,10 @@ def trace_functional(
     must be ergodic for those.
 
     A RateMatrix needs the step `dt`; its trajectory is the RK4 solution of
-    the master equation at t = 0, dt, ..., steps * dt.  Every kind is
-    evaluated on the whole (steps+1, n) array of laws at once, and the RK4
-    step is itself a Markov kernel, so all kinds work in both time scales.
+    the master equation at t = 0, dt, ..., steps * dt.  Kinds are evaluated
+    on the whole (steps+1, n) array of laws at once, except ``j_functional``,
+    which steps the n x n joint law of (X_0, X_t).  The RK4 step is itself a
+    Markov kernel, so all kinds work in both time scales.
     """
     if kind not in TRACE_KINDS:
         raise BadParamsError(f"unknown trace kind {kind!r}")
@@ -146,6 +146,16 @@ def trace_functional(
     init = _need(inits, "init", kind)
     if not isinstance(init, Distribution):
         raise BadParamsError("inits['init'] must be a Distribution")
+    if kind == "j_functional":  # law of (X_0, X_t), one n x n step at a time
+        path = trajectory(chain, np.diag(init.probs), steps, dt)
+        qq = _need_q(q, kind)
+        times, values = [], []
+        for t, joint in path:
+            prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+            times.append(t)
+            values.append(_ratio_functional(qq, joint.ravel(), prod.ravel()))
+        return TimeSeries(times, values)
+
     rows = init.probs
     if kind == "kl_pair":
         other = _need(inits, "init2", kind)
@@ -160,13 +170,6 @@ def trace_functional(
         values = -_ratio_functional(_U_LOG_U, np.ones(chain.n), laws)
     elif kind == "kl_pair":
         values = _ratio_functional(_NEG_LOG, laws[:, 0], laws[:, 1])
-    elif kind == "j_functional":
-        qq, kernel, values = _need_q(q, kind), step_kernel(chain, dt), []
-        joint = np.diag(init.probs)  # law of (X_0, X_t), one n x n step at a time
-        for t, law in enumerate(laws):
-            if t > 0:
-                joint = joint @ kernel
-            values.append(_ratio_functional(qq, joint.ravel(), np.outer(init.probs, law).ravel()))
     else:
         pi = stationary_distribution(chain).probs
         if kind == "kl_to_stationary":

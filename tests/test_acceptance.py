@@ -215,7 +215,9 @@ def test_acceptance_05_functionals_are_monotone_along_chains():
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
         failures.append(("time", elapsed))
-    _gate("200 random ergodic chains and rate matrices keep every trace monotone at 1e-9", failures)
+    _gate(
+        "200 random ergodic chains and rate matrices keep every trace monotone at 1e-9", failures
+    )
 
 
 def test_acceptance_06_processing_never_creates_information():
