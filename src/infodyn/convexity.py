@@ -53,9 +53,11 @@ BUILTIN_NAMES = (
 class ConvexFunction:
     """A convex function of `arity` positive arguments.
 
-    The evaluator takes either a scalar (arity 1) or a length-`arity`
-    vector.  Builtin arity-1 evaluators also broadcast over arrays, which
-    the `batch` method exploits.
+    The evaluator is called once on a whole array whose leading axis holds
+    the `arity` arguments (at arity 1, the values themselves) and returns
+    the trailing shape, one value per cell.  An evaluator that handles one
+    point only still works: when that call raises TypeError/ValueError or
+    returns another shape, the call falls back to one evaluation per cell.
     """
 
     name: str
@@ -72,52 +74,54 @@ class ConvexFunction:
         elif np.any(values <= 0.0):
             raise SupportMismatchError(f"{self.name} needs strictly positive arguments")
 
+    def _evaluate(self, u: np.ndarray) -> np.ndarray:
+        """Q at every cell of the float array `u` of shape (arity, *cells)."""
+        self._check_domain(u)
+        cells = u[0] if self.arity == 1 else u
+        try:
+            out = np.asarray(self.evaluator(cells), dtype=float)
+            if out.shape == u.shape[1:]:
+                return out
+        except (TypeError, ValueError):
+            pass
+        points = u.reshape(-1) if self.arity == 1 else u.reshape(self.arity, -1).T
+        return np.array([float(self.evaluator(x)) for x in points]).reshape(u.shape[1:])
+
     def __call__(self, *args):
         if self.arity == 1:
             if len(args) != 1:
                 raise BadParamsError(f"{self.name} takes one argument")
             u = np.asarray(args[0], dtype=float)
-            self._check_domain(u)
-            out = self.evaluator(u)
-            return float(out) if u.ndim == 0 else np.asarray(out, dtype=float)
+            out = self._evaluate(u[None])
+            return float(out) if u.ndim == 0 else out
         vec = np.asarray(args[0] if len(args) == 1 else args, dtype=float)
         if vec.shape != (self.arity,):
             raise BadParamsError(f"{self.name} takes {self.arity} arguments")
-        self._check_domain(vec)
-        return float(self.evaluator(vec))
+        return float(self._evaluate(vec))
 
     def batch(self, values: np.ndarray) -> np.ndarray:
         """Evaluate an arity-1 function over an array, elementwise."""
         if self.arity != 1:
             raise BadParamsError("batch evaluation is for arity-1 functions")
-        values = np.asarray(values, dtype=float)
-        self._check_domain(values)
-        try:
-            out = np.asarray(self.evaluator(values), dtype=float)
-            if out.shape == values.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        flat = np.array([float(self.evaluator(v)) for v in values.ravel()])
-        return flat.reshape(values.shape)
+        return self._evaluate(np.asarray(values, dtype=float)[None])
 
 
 @dataclass(frozen=True, eq=False)
 class PerspectiveFunction(ConvexFunction):
-    """Perspective of a base function; first argument is the scale v > 0."""
+    """Perspective of a base function; first argument is the scale v > 0.
+
+    Its evaluator is the whole-array closure v * Q(u / v); the base checks
+    the domain of the ratios.
+    """
 
     base: ConvexFunction | None = None
 
-    def __call__(self, *args):
-        vec = np.asarray(args[0] if len(args) == 1 else args, dtype=float)
-        if vec.shape != (self.arity,):
-            raise BadParamsError(f"{self.name} takes {self.arity} arguments")
-        v = float(vec[0])
-        if v <= 0.0:
+    def _check_domain(self, values: np.ndarray) -> None:
+        if np.any(values[0] <= 0.0):
             raise SupportMismatchError("perspective scale must be strictly positive")
-        ratios = vec[1:] / v
-        inner = self.base(ratios[0]) if self.base.arity == 1 else self.base(ratios)
-        return v * float(inner)
+
+    # Its own entry point, so per-class instrumentation can wrap it apart.
+    __call__ = ConvexFunction.__call__
 
 
 def perspective(q: ConvexFunction) -> PerspectiveFunction:
@@ -125,7 +129,7 @@ def perspective(q: ConvexFunction) -> PerspectiveFunction:
     return PerspectiveFunction(
         name=f"{q.name}_perspective",
         arity=q.arity + 1,
-        evaluator=None,
+        evaluator=lambda u: u[0] * q._evaluate(u[1:] / u[0]),
         base=q,
     )
 
@@ -232,17 +236,13 @@ def verify_convexity(
 
     rng = np.random.default_rng(seed)
     lo, hi = box[:, 0], box[:, 1]
-
-    def evaluate(point: np.ndarray) -> float:
-        return float(q(point[0])) if q.arity == 1 else float(q(point))
-
     for _ in range(trials):
         a = rng.uniform(lo, hi)
         b = rng.uniform(lo, hi)
         lam = rng.uniform()
         mid = lam * a + (1.0 - lam) * b
-        chord = lam * evaluate(a) + (1.0 - lam) * evaluate(b)
-        value = evaluate(mid)
+        chord = float(lam * q._evaluate(a) + (1.0 - lam) * q._evaluate(b))
+        value = float(q._evaluate(mid))
         if value > chord + CONVEXITY_TOL:
             return ConvexityResult(False, trials, (a, b, lam, chord, value))
     return ConvexityResult(True, trials)

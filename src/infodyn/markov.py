@@ -69,6 +69,33 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite_nonnegative(a: np.ndarray, axis=None):
+    """The entry check shared by every constructor: finite and nonnegative.
+
+    NaN fails both comparisons, so it is rejected along with +-inf.
+    """
+    return np.all((a >= 0.0) & (a < np.inf), axis=axis)
+
+
+def _wrap_rows(cls, name: str, laws: np.ndarray, ok: np.ndarray, **fields) -> list:
+    """One `cls` per row of `laws`, its array field `name` checked once as a whole.
+
+    `ok` is the constructor's own check, vectorized over the rows.  A row it
+    fails goes through the constructor, which raises the constructor's
+    error at the first bad row; the others become read-only views without
+    running __post_init__ again.
+    """
+    laws.setflags(write=False)
+    out = []
+    for row, good in zip(laws, ok):
+        if good:
+            out.append(object.__new__(cls))
+            out[-1].__dict__.update({name: row, **fields})
+        else:
+            out.append(cls(row, **fields))
+    return out
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability vector over a finite state space."""
@@ -79,8 +106,8 @@ class Distribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise BadParamsError("distribution must be a nonempty 1-d vector")
-        if np.any(p < 0.0):
-            raise BadParamsError("distribution entries must be nonnegative")
+        if not _finite_nonnegative(p):
+            raise BadParamsError("distribution entries must be finite and nonnegative")
         if abs(p.sum() - 1.0) > NORMALIZATION_ATOL:
             raise BadParamsError(
                 f"distribution sums to {p.sum()!r}, expected 1 within {NORMALIZATION_ATOL}"
@@ -102,7 +129,7 @@ class StochasticMatrix:
         t = np.asarray(self.matrix, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
             raise BadParamsError("transition matrix must be square and nonempty")
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not _finite_nonnegative(t) or np.any(t > 1.0):
             raise BadParamsError("transition probabilities must lie in [0, 1]")
         bad = np.abs(t.sum(axis=1) - 1.0) > NORMALIZATION_ATOL
         if np.any(bad):
@@ -124,8 +151,8 @@ class RateMatrix:
         w = np.asarray(self.matrix, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] == 0:
             raise BadParamsError("rate matrix must be square and nonempty")
-        if np.any(w < 0.0):
-            raise BadParamsError("rates must be nonnegative")
+        if not _finite_nonnegative(w):
+            raise BadParamsError("rates must be finite and nonnegative")
         if np.any(np.diag(w) != 0.0):
             raise BadParamsError("rate matrix must have an exactly zero diagonal")
         object.__setattr__(self, "matrix", _freeze(w))
@@ -160,8 +187,8 @@ class MeasureFamily:
             raise BadParamsError("need a (k+1, n) array with k >= 1")
         if self.require_positive and np.any(m[0] <= 0.0):
             raise ZeroProbabilityError("reference measure must be strictly positive")
-        if np.any(m[0] < 0.0) or np.any(m[1:] < 0.0):
-            raise BadParamsError("measures must be nonnegative")
+        if not _finite_nonnegative(m):
+            raise BadParamsError("measures must be finite and nonnegative")
         object.__setattr__(self, "measures", _freeze(m))
 
     @property
@@ -354,10 +381,15 @@ def horizon_steps(dt: float, horizon: float) -> int:
     return int(np.floor(horizon / dt + 1e-9))
 
 
+def _distributions(laws: np.ndarray) -> list[Distribution]:
+    sums_ok = np.abs(laws.sum(axis=1) - 1.0) <= NORMALIZATION_ATOL
+    return _wrap_rows(Distribution, "probs", laws, _finite_nonnegative(laws, axis=1) & sums_ok)
+
+
 def evolve_distribution(chain: StochasticMatrix, init: Distribution, steps: int) -> list[Distribution]:
     """Forward trajectory [p_0, p_1, ..., p_steps] with p_{t+1} = p_t T."""
     _, laws = propagate(_check_discrete(chain), init.probs, steps)
-    return [init, *map(Distribution, laws[1:])]
+    return [init, *_distributions(laws[1:])]
 
 
 def evolve_measures(chain: StochasticMatrix, family: MeasureFamily, steps: int) -> list[MeasureFamily]:
@@ -367,10 +399,12 @@ def evolve_measures(chain: StochasticMatrix, family: MeasureFamily, steps: int) 
     each row is conserved because the kernel rows sum to one.
     """
     _, laws = propagate(_check_discrete(chain), family.measures, steps)
-    return [
-        family,
-        *(MeasureFamily(m, require_positive=family.require_positive) for m in laws[1:]),
-    ]
+    laws = laws[1:]
+    ok = _finite_nonnegative(laws, axis=(1, 2))
+    if family.require_positive:
+        ok &= np.all(laws[:, 0] > 0.0, axis=1)
+    rows = _wrap_rows(MeasureFamily, "measures", laws, ok, require_positive=family.require_positive)
+    return [family, *rows]
 
 
 def integrate_master_equation(
@@ -385,7 +419,7 @@ def integrate_master_equation(
     if not isinstance(rates, RateMatrix):
         raise BadParamsError("operation requires a continuous-time chain")
     times, laws = propagate(rates, init.probs, horizon_steps(dt, horizon), dt)
-    return [(0.0, init), *((float(t), Distribution(p)) for t, p in zip(times[1:], laws[1:]))]
+    return [(0.0, init), *zip(times[1:].tolist(), _distributions(laws[1:]))]
 
 
 def check_balance(chain: Chain, pi: Distribution, tol: float = 1e-9) -> BalanceReport:

@@ -1,17 +1,19 @@
 """Entropies, f-divergences, and generalized information functionals.
 
-The common shape is a ratio functional: a reference measure weights a
-convex function of ratios of companion measures to that reference,
+The generalized functionals are ratio functionals, all evaluated by the
+kernel `_ratio_functional`: a reference measure weights a convex function
+of ratios of companion measures to that reference,
 
     sum_cell  ref(cell) * Q(m_1(cell)/ref(cell), ..., m_k(cell)/ref(cell)).
 
 Cells where the reference vanishes contribute zero when every companion
-vanishes there too.  For arity-1 functionals, a companion that keeps mass
-on such a cell contributes its mass times lim_{u->inf} Q(u)/u when that
-limit is finite (the continuity value of the term); if the limit diverges
-the operation raises SupportMismatchError.  Multi-measure functionals are
-strict: positive companion mass on a null reference cell is always an
-error.
+vanishes there too.  Companion mass on such a cell is ruled per function.
+`f_divergence`, the mutual, lautum and mixed-measure informations and all
+trace kinds but v_functional take the recession-slope tail: that mass
+times lim_{u->inf} Q(u)/u when the limit is finite, else
+SupportMismatchError.  The multi-measure `zakai_ziv_functional`,
+`measure_family_functional` and v_functional trace are strict: such mass
+raises SupportMismatchError, even at arity 1.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     SupportMismatchError,
     TooManyLettersError,
 )
-from .markov import Distribution, MeasureFamily, StochasticMatrix
+from .markov import Distribution, MeasureFamily, StochasticMatrix, _finite_nonnegative
 
 __all__ = [
     "JointDistribution",
@@ -59,8 +61,8 @@ def _frozen_table(a, ndim: int) -> np.ndarray:
     t = np.array(a, dtype=float, copy=True)
     if t.ndim != ndim or t.size == 0:
         raise BadParamsError(f"need a nonempty {ndim}-d table")
-    if np.any(t < 0.0):
-        raise BadParamsError("table entries must be nonnegative")
+    if not _finite_nonnegative(t):
+        raise BadParamsError("table entries must be finite and nonnegative")
     t.setflags(write=False)
     return t
 
@@ -134,22 +136,27 @@ def _require_arity(q: ConvexFunction, arity: int) -> None:
         raise ArityMismatchError(f"{q.name} has arity {q.arity}, expected {arity}")
 
 
-def _ratio_functional(q: ConvexFunction, reference: np.ndarray, companion: np.ndarray):
-    """sum ref * Q(companion / ref) over the last axis, with the null-cell conventions above.
+def _ratio_functional(
+    q: ConvexFunction, reference: np.ndarray, companion: np.ndarray, strict: bool = False
+):
+    """sum ref * Q(companion / ref) over the last axis, with the null-cell rules above.
 
-    Leading axes broadcast, so one call evaluates a whole trajectory.
+    Leading axes broadcast, so one call evaluates a whole trajectory.  By
+    default `companion` has the cells' shape and a null reference cell takes
+    the recession-slope tail.  `strict` is the multi-measure form:
+    `companion` stacks the q.arity measures on a leading axis, and mass on a
+    null reference cell raises.
     """
+    evaluate = q._evaluate if strict else q.batch
     pos = reference > 0.0
     if pos.all():
-        return np.sum(reference * q.batch(companion / reference), axis=-1)
+        return np.sum(reference * evaluate(companion / reference), axis=-1)
     extinct = np.where(pos, 0.0, companion)
-    if q.recession_slope is None and np.any(extinct > 0.0):
-        raise SupportMismatchError(
-            f"companion mass on a null reference cell and {q.name} grows superlinearly"
-        )
-    values = q.batch(np.where(pos, companion / np.where(pos, reference, 1.0), 1.0))
-    tail = (q.recession_slope or 0.0) * extinct.sum(axis=-1)
-    return np.sum(np.where(pos, reference * values, 0.0), axis=-1) + tail
+    if (strict or q.recession_slope is None) and np.any(extinct > 0.0):
+        raise SupportMismatchError(f"companion mass on a null reference cell ({q.name})")
+    values = evaluate(np.where(pos, companion / np.where(pos, reference, 1.0), 1.0))
+    total = np.sum(np.where(pos, reference * values, 0.0), axis=-1)
+    return total if strict else total + (q.recession_slope or 0.0) * extinct.sum(axis=-1)
 
 
 def f_divergence(q: ConvexFunction, p1: Distribution, p2: Distribution) -> float:
@@ -202,8 +209,8 @@ def zakai_ziv_functional(
     for m in measures:
         if m.shape != joint.table.shape:
             raise DimensionMismatchError("measure grid does not match the joint law")
-    stack = np.stack([m.table for m in measures])
-    return _cellwise_functional(q, joint.table, stack)
+    stack = np.stack([m.table.ravel() for m in measures])
+    return float(_ratio_functional(q, joint.table.ravel(), stack, strict=True))
 
 
 def measure_family_functional(q: ConvexFunction, family: MeasureFamily) -> float:
@@ -214,20 +221,7 @@ def measure_family_functional(q: ConvexFunction, family: MeasureFamily) -> float
     """
     if family.k != q.arity:
         raise ArityMismatchError(f"family has k={family.k}, function arity {q.arity}")
-    return _cellwise_functional(q, family.reference, family.measures[1:])
-
-
-def _cellwise_functional(q: ConvexFunction, reference: np.ndarray, stack: np.ndarray) -> float:
-    ref = reference.ravel()
-    rows = stack.reshape(stack.shape[0], -1)
-    null = ref == 0.0
-    if np.any(rows[:, null] > 0.0):
-        raise SupportMismatchError("measure mass on a cell where the reference vanishes")
-    total = 0.0
-    for idx in np.flatnonzero(~null):
-        ratios = rows[:, idx] / ref[idx]
-        total += ref[idx] * (q(float(ratios[0])) if q.arity == 1 else q(ratios))
-    return float(total)
+    return float(_ratio_functional(q, family.reference, family.measures[1:], strict=True))
 
 
 def _coeff_vector(coeffs, expected: int, label: str) -> np.ndarray:

@@ -34,7 +34,7 @@ from .markov import (
     stationary_distribution,
     trajectory,
 )
-from .measures import _cellwise_functional, _ratio_functional, _require_arity
+from .measures import _ratio_functional, _require_arity
 
 __all__ = [
     "TimeSeries",
@@ -128,8 +128,9 @@ def trace_functional(
 
     A RateMatrix needs the step `dt`; its trajectory is the RK4 solution of
     the master equation at t = 0, dt, ..., steps * dt.  Kinds are evaluated
-    on the whole (steps+1, n) array of laws at once, except ``j_functional``,
-    which steps the n x n joint law of (X_0, X_t).  The RK4 step is itself a
+    on the whole (steps+1, n) array of laws at once (``v_functional`` on the
+    (steps+1, k+1, n) array of families), except ``j_functional``, which
+    steps the n x n joint law of (X_0, X_t).  The RK4 step is itself a
     Markov kernel, so all kinds work in both time scales.
     """
     if kind not in TRACE_KINDS:
@@ -141,7 +142,8 @@ def trace_functional(
             raise BadParamsError("inits['family'] must be a MeasureFamily")
         qq = _need_q(q, kind, family.k)
         times, laws = propagate(chain, family.measures, steps, dt)
-        return TimeSeries(times, [_cellwise_functional(qq, m[0], m[1:]) for m in laws])
+        companions = np.moveaxis(laws[:, 1:], 1, 0)
+        return TimeSeries(times, _ratio_functional(qq, laws[:, 0], companions, strict=True))
 
     init = _need(inits, "init", kind)
     if not isinstance(init, Distribution):

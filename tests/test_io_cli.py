@@ -410,6 +410,16 @@ def test_cli_measure_v(capsys, tmp_path):
     assert json.loads(out)["value"] == pytest.approx(expected, abs=1e-9)
 
 
+def test_cli_measure_v_rejects_an_overflowing_entry(capsys, tmp_path):
+    """1e400 parses to inf; the family constructor must refuse it (exit 2)."""
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text('{"measures": [[0.25, 0.75], [1e400, 0.5]]}')
+    code = main(["measure", "--op", "v", "--q", "square", "--family", str(fam_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_cli_measure_missing_inputs(capsys, tmp_path):
     p1 = tmp_path / "p1.json"
     save_distribution(Distribution([0.5, 0.5]), p1)

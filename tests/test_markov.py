@@ -71,6 +71,26 @@ def test_rate_matrix_generator_rows_sum_to_zero():
     assert np.allclose(g - np.diag(np.diag(g)), w.matrix - 0.0)
 
 
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: Distribution([x, 0.5, 0.5]),
+        lambda x: StochasticMatrix([[x, 1.0], [0.5, 0.5]]),
+        lambda x: RateMatrix([[0.0, x], [1.0, 0.0]]),
+        lambda x: MeasureFamily([[0.5, 0.5], [x, 1.0]]),
+        lambda x: MeasureFamily([[x, 0.5], [0.5, 1.0]], require_positive=False),
+    ],
+    ids=["distribution", "stochastic", "rates", "family", "family_reference"],
+)
+def test_constructors_reject_non_finite_entries(build):
+    for x in NON_FINITE:
+        with pytest.raises(BadParamsError):
+            build(x)
+
+
 def test_measure_family_requires_positive_reference():
     with pytest.raises(ZeroProbabilityError):
         MeasureFamily([[1.0, 0.0], [1.0, 1.0]])
@@ -180,6 +200,53 @@ def test_evolve_validates_dimensions_and_steps():
         evolve_distribution(chain, Distribution([0.5, 0.5]), 1)
     with pytest.raises(BadParamsError):
         evolve_distribution(chain, Distribution([1.0, 0.0, 0.0]), -1)
+
+
+def test_wrappers_check_once_and_return_frozen_rows():
+    rng = np.random.default_rng(21)
+    chain = random_chain(rng, 5)
+    init = random_distribution(rng, 5)
+    traj = evolve_distribution(chain, init, 30)
+    _, laws = propagate(chain, init.probs, 30)
+    assert all(type(d) is Distribution for d in traj)
+    assert np.array_equal(np.stack([d.probs for d in traj]), laws)
+    with pytest.raises(ValueError):
+        traj[7].probs[0] = 0.5
+    fam = random_family(rng, 5, 2)
+    path = evolve_measures(chain, fam, 12)
+    assert all(type(m) is MeasureFamily and m.require_positive for m in path)
+    with pytest.raises(ValueError):
+        path[3].measures[0, 0] = 1.0
+    rates = RateMatrix([[0.0, 2.0], [1.0, 0.0]])
+    timed = integrate_master_equation(rates, Distribution([1.0, 0.0]), 0.1, 1.0)
+    assert [type(t) for t, _ in timed] == [float] * 11
+    with pytest.raises(ValueError):
+        timed[4][1].probs[1] = 0.0
+
+
+def test_evolve_raises_the_constructor_error_at_the_first_drifting_step():
+    """A kernel 5e-13 off stochastic fails at the step a per-step Distribution would."""
+    base = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+    chain = StochasticMatrix(base * (1.0 + 5e-13))
+    init = Distribution([1.0, 0.0, 0.0])
+    _, laws = propagate(chain, init.probs, 200)
+    first = next(k for k, p in enumerate(laws) if abs(p.sum() - 1.0) > 1e-12)
+    with pytest.raises(BadParamsError) as expected:
+        Distribution(laws[first])
+    with pytest.raises(BadParamsError) as raised:
+        evolve_distribution(chain, init, 200)
+    assert str(raised.value) == str(expected.value)
+    assert len(evolve_distribution(chain, init, first - 1)) == first
+
+
+def test_evolve_measures_raises_at_a_vanishing_reference():
+    chain = build_example_chain("cyclic", K=3)
+    fam = MeasureFamily([[0.5, 0.5, 0.0], [1.0, 1.0, 1.0]], require_positive=False)
+    assert len(evolve_measures(chain, fam, 4)) == 5
+    positive = MeasureFamily([[0.5, 0.5, 1e-300], [1.0, 1.0, 1.0]])
+    draining = StochasticMatrix([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ZeroProbabilityError):
+        evolve_measures(draining, positive, 3)
 
 
 def test_evolve_measures_preserves_proportionality_and_mass():

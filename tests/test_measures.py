@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import multi_convex, random_joint
+from helpers import all_builtins, multi_convex, random_joint
 from infodyn import (
     ArityMismatchError,
     BadCoefficientsError,
+    BadParamsError,
     Distribution,
     EpsilonChannel,
     JointDistribution,
     MeasureFamily,
     NotMarkovError,
     PairMeasure,
+    StochasticMatrix,
     SupportMismatchError,
     TooManyLettersError,
     builtin,
@@ -34,8 +36,10 @@ from infodyn import (
     shannon_entropy,
     simple_extension_coefficients,
     source_joint,
+    trace_functional,
     zakai_ziv_functional,
 )
+from infodyn.measures import _ratio_functional
 
 
 def classical_mutual_information(joint):
@@ -245,6 +249,73 @@ def test_zz_functional_arity_and_support_checks():
     heavy = PairMeasure([[0.1, 0.2], [0.1, 0.1]])
     with pytest.raises(SupportMismatchError):
         zakai_ziv_functional(q, sparse, [heavy])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_table_constructors_reject_non_finite_entries(bad):
+    with pytest.raises(BadParamsError):
+        JointDistribution([[bad, 0.5], [0.25, 0.25]])
+    with pytest.raises(BadParamsError):
+        PairMeasure([[bad, 1.0]])
+
+
+def _per_cell_sum(q, reference, companions):
+    """Reference-weighted Q summed one scalar call per cell, and the sum of |terms|."""
+    terms = []
+    for j in np.flatnonzero(reference > 0.0):
+        ratios = companions[:, j] / reference[j]
+        terms.append(reference[j] * (q(float(ratios[0])) if q.arity == 1 else q(ratios)))
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+def test_ratio_kernel_matches_per_cell_calls():
+    """One whole-array call per trajectory equals the per-cell sums, fallback included.
+
+    multi_convex(4) takes a single vector only, so its whole-array call
+    returns one number and the kernel falls back to one call per cell.
+    """
+    assert np.ndim(multi_convex(4).evaluator(np.ones((4, 3)))) == 0
+    rng = np.random.default_rng(17)
+    cases = [(q, 1) for q in all_builtins()]
+    cases += [(perspective(q), 2) for q in all_builtins()]
+    cases += [(multi_convex(k), k) for k in (2, 3, 4)]
+    for q, k in cases:
+        for trial in range(3):
+            n = int(rng.integers(4, 40))
+            laws = rng.random((6, k + 1, n)) + 0.05
+            laws[:, :, : n // 4] = 0.0  # null reference cells carrying no mass
+            if q.name == "u_log_u":
+                laws[:, 1, n // 4 : n // 2] = 0.0  # zero companions, Q(0) = 0
+            values = _ratio_functional(q, laws[:, 0], np.moveaxis(laws[:, 1:], 1, 0), strict=True)
+            assert values.shape == (6,)
+            for row, value in zip(laws, values):
+                exact, scale = _per_cell_sum(q, row[0], row[1:])
+                assert abs(value - exact) <= 1e-14 * scale, q.name
+            if k == 1:
+                loose = _ratio_functional(q, laws[:, 0], laws[:, 1])
+                assert np.array_equal(loose, values), q.name
+
+
+def test_strict_kernel_keeps_its_support_errors():
+    """Multi-measure forms refuse mass on a null reference cell, even at arity 1."""
+    p_uv = np.array([[0.0, 0.5], [0.25, 0.25]])
+    channel = np.array([[0.9, 0.1], [0.3, 0.7]])
+    kernel, fam_now, _ = embed_markov_triple(p_uv[:, :, None] * channel[None, :, :])
+    null = fam_now.reference == 0.0
+    assert np.any(fam_now.measures[1][null] > 0.0)
+    q = builtin("neg_log")  # finite recession slope: the loose rule would accept this
+    with pytest.raises(SupportMismatchError):
+        measure_family_functional(q, fam_now)
+    with pytest.raises(SupportMismatchError):
+        trace_functional("v_functional", kernel, q=q, inits={"family": fam_now}, steps=3)
+
+    zero_scale = MeasureFamily([[0.5, 0.5], [0.0, 1.0], [0.3, 0.7]])
+    tilde = perspective(builtin("neg_log"))
+    with pytest.raises(SupportMismatchError):
+        measure_family_functional(tilde, zero_scale)
+    chain = StochasticMatrix([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(SupportMismatchError):
+        trace_functional("v_functional", chain, q=tilde, inits={"family": zero_scale}, steps=3)
 
 
 def test_family_functional_constant_ratio_and_divergence_form():
