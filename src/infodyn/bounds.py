@@ -32,7 +32,7 @@ from .errors import (
     OutOfValidityRangeError,
     PsiAboveOneError,
 )
-from .markov import Distribution
+from .markov import Distribution, _finite_nonnegative
 from .measures import JointDistribution
 
 __all__ = [
@@ -98,7 +98,7 @@ class EpsilonChannel:
         e = np.array(self.eps, dtype=float, copy=True)
         if e.ndim != 1 or e.size < 3:
             raise BadParamsError("eps must be a vector with at least 3 entries")
-        if np.any(e < 0.0) or np.any(e > 1.0):
+        if not _finite_nonnegative(e) or np.any(e > 1.0):
             raise BadParamsError("crossover probabilities must lie in [0, 1]")
         e.setflags(write=False)
         object.__setattr__(self, "eps", e)

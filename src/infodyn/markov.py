@@ -19,7 +19,6 @@ well-defined.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import factorial
@@ -221,30 +220,24 @@ class BalanceReport:
 Chain = StochasticMatrix | RateMatrix
 
 
-def _transition_like(chain: Chain) -> np.ndarray:
-    """A row-stochastic matrix with the same stationary law as the chain."""
-    if isinstance(chain, StochasticMatrix):
-        return chain.matrix
-    w = chain.matrix
-    lam = float(w.sum(axis=1).max())
-    if lam == 0.0:
-        # No transitions at all; every law is stationary, nothing unique.
-        raise NonErgodicError("rate matrix has no transitions")
-    return np.eye(chain.n) + chain.generator() / (1.05 * lam)
+def _exit_rates(chain: Chain):
+    return 1.0 if isinstance(chain, StochasticMatrix) else chain.matrix.sum(axis=1)
+
+
+def _drift(chain: Chain, rows: np.ndarray) -> np.ndarray:
+    """rows G without building G = W - diag(exit); a kernel has W = T and exit 1."""
+    return rows @ chain.matrix - rows * _exit_rates(chain)
 
 
 def _require_strongly_connected(chain: Chain) -> None:
+    """Reachability from 0 both ways, one frontier per level: O(n^2) at any diameter."""
     adj = chain.matrix > 0.0
-    n = adj.shape[0]
     for mat in (adj, adj.T):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for j in np.flatnonzero(mat[i] & ~seen):
-                seen[j] = True
-                queue.append(int(j))
+        seen = np.zeros(chain.n, dtype=bool)
+        frontier = np.array([0])
+        while frontier.size:
+            seen[frontier] = True
+            frontier = np.flatnonzero(mat[frontier].any(axis=0) & ~seen)
         if not seen.all():
             raise NonErgodicError("chain is reducible")
 
@@ -252,36 +245,32 @@ def _require_strongly_connected(chain: Chain) -> None:
 def stationary_distribution(chain: Chain, tol: float = 1e-12) -> Distribution:
     """Unique stationary law of an irreducible chain.
 
-    Small chains are solved directly from the balance equations with a
-    normalization row; larger ones use power iteration on the (uniformized,
-    in the continuous case) transition matrix.  Raises NonErgodicError when
-    the chain is reducible, the solve is rank-deficient, or iteration fails
-    to converge.
+    Irreducibility, checked first, makes the law unique.  Up to
+    DIRECT_SOLVE_MAX states, a least-squares solve of the balance equations
+    bordered by the normalization row, which drifting rows do not upset.
+    Above, power iteration on the lazy uniformized kernel in both time
+    scales, pi <- pi W + hold pi normalized, hold = 1.05 max(exit) - exit > 0;
+    it is aperiodic, so periodic chains converge too.  Raises NonErgodicError
+    when the chain is reducible, the law is not strictly positive, the
+    iteration does not converge or the residual exceeds tolerance.
     """
     _require_strongly_connected(chain)
     n = chain.n
-    if isinstance(chain, StochasticMatrix):
-        balance_op = chain.matrix.T - np.eye(n)
-    else:
-        balance_op = chain.generator().T
-
     if n <= DIRECT_SOLVE_MAX:
-        if np.linalg.matrix_rank(balance_op) != n - 1:
-            raise NonErgodicError("stationary law is not unique")
-        a = np.vstack([balance_op, np.ones((1, n))])
+        a = np.vstack([_drift(chain, np.eye(n)).T, np.ones((1, n))])
         b = np.zeros(n + 1)
         b[-1] = 1.0
         pi, *_ = np.linalg.lstsq(a, b, rcond=None)
     else:
-        t = _transition_like(chain)
+        exit_rates = _exit_rates(chain)
+        hold = 1.05 * np.max(exit_rates) - exit_rates
         pi = np.full(n, 1.0 / n)
         for _ in range(POWER_ITERATION_CAP):
-            nxt = pi @ t
-            nxt /= nxt.sum()
-            if np.abs(nxt - pi).sum() < tol:
-                pi = nxt
+            prev = pi
+            pi = pi @ chain.matrix + hold * pi
+            pi /= pi.sum()
+            if np.abs(pi - prev).sum() < tol:
                 break
-            pi = nxt
         else:
             raise NonErgodicError(
                 f"power iteration did not converge within {POWER_ITERATION_CAP} sweeps"
@@ -290,7 +279,7 @@ def stationary_distribution(chain: Chain, tol: float = 1e-12) -> Distribution:
     if np.any(pi <= 0.0):
         raise NonErgodicError("stationary law is not strictly positive")
     pi = pi / pi.sum()
-    residual = float(np.abs(balance_op @ pi).max())
+    residual = float(np.abs(_drift(chain, pi)).max())
     if residual > max(tol, 1e-10):
         raise NonErgodicError(f"stationary residual {residual:.3e} exceeds tolerance")
     return Distribution(pi)
@@ -431,12 +420,11 @@ def check_balance(chain: Chain, pi: Distribution, tol: float = 1e-9) -> BalanceR
     if pi.n != chain.n:
         raise DimensionMismatchError(f"law has {pi.n} states, chain has {chain.n}")
     p = pi.probs
+    flow = p[:, None] * chain.matrix
     if isinstance(chain, StochasticMatrix):
-        flow = p[:, None] * chain.matrix
         global_residual = float(np.abs(flow.sum(axis=0) - p).max())
         doubly = bool(np.abs(chain.matrix.sum(axis=0) - 1.0).max() <= tol)
     else:
-        flow = p[:, None] * chain.matrix
         global_residual = float(np.abs(flow.sum(axis=0) - flow.sum(axis=1)).max())
         doubly = False
     detailed_residual = float(np.abs(flow - flow.T).max())
@@ -463,7 +451,7 @@ def backward_matrix(chain: StochasticMatrix, pi: Distribution) -> StochasticMatr
     p = pi.probs
     if np.any(p <= 0.0):
         raise ZeroProbabilityError("reversal needs a strictly positive stationary law")
-    residual = float(np.abs(p @ chain.matrix - p).max())
+    residual = float(np.abs(_drift(chain, p)).max())
     if residual > 1e-9:
         raise NotStationaryError(f"law is not stationary (residual {residual:.3e})")
     b = (p[:, None] * chain.matrix).T / p[:, None]

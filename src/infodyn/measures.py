@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isfinite  # per-step scalars: far cheaper than np.isfinite
 from typing import Sequence
 
 import numpy as np
@@ -136,6 +137,14 @@ def _require_arity(q: ConvexFunction, arity: int) -> None:
         raise ArityMismatchError(f"{q.name} has arity {q.arity}, expected {arity}")
 
 
+def _require_finite(values):
+    """Finite inputs whose ratios overflow give no meaningful value: refuse it."""
+    if not (isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
+        raise BadParamsError("functional value is not finite (a ratio overflows)")
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises at _require_finite
 def _ratio_functional(
     q: ConvexFunction, reference: np.ndarray, companion: np.ndarray, strict: bool = False
 ):
@@ -145,18 +154,20 @@ def _ratio_functional(
     default `companion` has the cells' shape and a null reference cell takes
     the recession-slope tail.  `strict` is the multi-measure form:
     `companion` stacks the q.arity measures on a leading axis, and mass on a
-    null reference cell raises.
+    null reference cell raises.  So does a value that is not finite.
     """
     evaluate = q._evaluate if strict else q.batch
     pos = reference > 0.0
     if pos.all():
-        return np.sum(reference * evaluate(companion / reference), axis=-1)
-    extinct = np.where(pos, 0.0, companion)
-    if (strict or q.recession_slope is None) and np.any(extinct > 0.0):
-        raise SupportMismatchError(f"companion mass on a null reference cell ({q.name})")
-    values = evaluate(np.where(pos, companion / np.where(pos, reference, 1.0), 1.0))
-    total = np.sum(np.where(pos, reference * values, 0.0), axis=-1)
-    return total if strict else total + (q.recession_slope or 0.0) * extinct.sum(axis=-1)
+        total = np.sum(reference * evaluate(companion / reference), axis=-1)
+    else:
+        extinct = np.where(pos, 0.0, companion)
+        if (strict or q.recession_slope is None) and np.any(extinct > 0.0):
+            raise SupportMismatchError(f"companion mass on a null reference cell ({q.name})")
+        values = evaluate(np.where(pos, companion / np.where(pos, reference, 1.0), 1.0))
+        tail = 0.0 if strict else (q.recession_slope or 0.0) * extinct.sum(axis=-1)
+        total = np.sum(np.where(pos, reference * values, 0.0), axis=-1) + tail
+    return _require_finite(total)
 
 
 def f_divergence(q: ConvexFunction, p1: Distribution, p2: Distribution) -> float:
@@ -283,9 +294,7 @@ def simple_extension_coefficients(joint: JointDistribution, s: float) -> tuple[n
     if s < 0.0:
         raise BadCoefficientsError("extension weight s must be nonnegative")
     px = joint.marginal_x()
-    s_coeffs = np.concatenate(([1.0], s * px))
-    t_coeffs = np.concatenate(([0.0], px))
-    return s_coeffs, t_coeffs
+    return np.concatenate(([1.0], s * px)), np.concatenate(([0.0], px))
 
 
 def expected_mixed_measure_information(

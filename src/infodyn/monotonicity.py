@@ -34,7 +34,7 @@ from .markov import (
     stationary_distribution,
     trajectory,
 )
-from .measures import _ratio_functional, _require_arity
+from .measures import _ratio_functional, _require_arity, _require_finite
 
 __all__ = [
     "TimeSeries",
@@ -181,7 +181,8 @@ def trace_functional(
         elif kind == "u_functional":
             values = _ratio_functional(_need_q(q, kind), pi, laws)
         elif kind == "circuit_energy":
-            values = 0.5 * np.sum(laws**2 / pi, axis=-1)
+            with np.errstate(over="ignore"):
+                values = _require_finite(0.5 * np.sum(laws**2 / pi, axis=-1))
         else:  # bhattacharyya
             values = -_ratio_functional(_NEG_SQRT, laws, pi)
 

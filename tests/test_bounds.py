@@ -74,8 +74,9 @@ def test_epsilon_channel_matrix_and_distortion():
 def test_epsilon_channel_validation():
     with pytest.raises(BadParamsError):
         EpsilonChannel([0.1, 0.2])
-    with pytest.raises(BadParamsError):
-        EpsilonChannel([0.1, 0.2, 1.2])
+    for bad in (1.2, -0.1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(BadParamsError):
+            EpsilonChannel([0.1, 0.2, bad])
     with pytest.raises(BadParamsError):
         EpsilonChannel([[0.1, 0.2], [0.3, 0.4]])
 

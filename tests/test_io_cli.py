@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from infodyn import (
     optimize_s,
     ExampleConfig,
     GridSpec,
+    BadParamsError,
+    f_divergence,
 )
 from infodyn.cli import main
 from infodyn.io import (
@@ -418,6 +421,34 @@ def test_cli_measure_v_rejects_an_overflowing_entry(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "op, docs",
+    [
+        ("v", {"family": {"measures": [[1e-300, 1.0], [1e300, 1.0]]}}),
+        ("fdiv", {"p1": {"probs": [1e-320, 1.0]}, "p2": {"probs": [0.5, 0.5]}}),
+    ],
+    ids=["v", "fdiv"],
+)
+def test_measure_rejects_a_ratio_that_overflows(capsys, tmp_path, op, docs):
+    """Finite entries, infinite value: BadParamsError, exit 2, one error line, no warning."""
+    args = ["measure", "--op", op, "--q", "square"]
+    for key, doc in docs.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+        args += [f"--{key}", str(tmp_path / f"{key}.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParamsError, match="not finite"):
+            if op == "v":
+                measure_family_functional(builtin("square"), load_family(tmp_path / "family.json"))
+            else:
+                p1, p2 = (load_distribution(tmp_path / f"{key}.json") for key in ("p1", "p2"))
+                f_divergence(builtin("square"), p1, p2)
+        code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_cli_measure_missing_inputs(capsys, tmp_path):

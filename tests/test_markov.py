@@ -170,6 +170,90 @@ def test_stationary_random_chain_properties(seed, n):
     assert np.abs(pi.probs @ chain.matrix - pi.probs).max() < 1e-9
 
 
+def _exact_stationary(w):
+    """Stationary law of the rates in exact rational arithmetic.
+
+    Entries may be floats or Fractions.  The diagonal is ignored, so an
+    exactly row-stochastic kernel passes as its own rates.
+    """
+    n = len(w)
+    g = [[Fraction(x) for x in row] for row in w]
+    for i in range(n):
+        g[i][i] = -sum(g[i][j] for j in range(n) if j != i)
+    # pi G = 0 with the last balance equation replaced by sum(pi) = 1
+    a = [[g[j][i] for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    a.append([Fraction(1)] * (n + 1))
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return np.array([float(a[i][n] / a[i][i]) for i in range(n)])
+
+
+def _relative_error(pi, exact):
+    return float(np.max(np.abs(pi - exact) / exact))
+
+
+def test_stationary_matches_exact_rational_laws():
+    """Small rational kernels and rate matrices against a fractions solve."""
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n = 2 + trial % 5
+        counts = rng.integers(0, 10, (n, n))
+        counts[np.arange(n), (np.arange(n) + 1) % n] += 1  # a cycle keeps it irreducible
+        if trial % 2:
+            np.fill_diagonal(counts, 0)
+            rates = [[Fraction(int(c), 3) for c in row] for row in counts]
+            chain = RateMatrix([[float(x) for x in row] for row in rates])
+        else:
+            rates = [[Fraction(int(c), int(sum(row))) for c in row] for row in counts]
+            chain = StochasticMatrix([[float(x) for x in row] for row in rates])
+        exact = _exact_stationary(rates)
+        assert _relative_error(stationary_distribution(chain).probs, exact) <= 1e-13
+
+
+def test_stationary_of_a_kernel_read_from_decimal_text():
+    """Rows printed with 13 digits miss 1 by about 1e-13; the law must not.
+
+    The oracle is the exact law of the chain whose rows are the parsed
+    rows divided by their exact sums.
+    """
+    g = np.random.default_rng(2)
+    t = g.random((8, 8)) ** 3 + 0.02
+    t /= t.sum(axis=1, keepdims=True)
+    t = np.array([[float(f"{x:.12e}") for x in row] for row in t])
+    assert np.abs(t.sum(axis=1) - 1.0).max() > 5e-14
+    rows = [[Fraction(x) for x in row] for row in t]
+    exact = _exact_stationary([[x / sum(row) for x in row] for row in rows])
+    assert _relative_error(stationary_distribution(StochasticMatrix(t)).probs, exact) <= 1e-12
+
+
+def test_stationary_of_a_periodic_reflecting_walk():
+    """Period 2 and above the direct-solve size: the law puts 1/(2(n-1)) on each end."""
+    n = 71
+    t = np.zeros((n, n))
+    t[np.arange(n - 1), np.arange(1, n)] = 0.5
+    t[np.arange(1, n), np.arange(n - 1)] = 0.5
+    t[0, 1] = t[n - 1, n - 2] = 1.0
+    exact = np.full(n, 1.0 / (n - 1))
+    exact[[0, -1]] /= 2.0
+    assert _relative_error(stationary_distribution(StochasticMatrix(t)).probs, exact) <= 1e-8
+
+
+def test_stationary_rejects_a_long_path_cut_deep_inside():
+    """Forward reachability spans all 100 states; backward stops at the cut."""
+    n = 100
+    w = np.zeros((n, n))
+    w[np.arange(n - 1), np.arange(1, n)] = 1.0
+    w[np.arange(1, n), np.arange(n - 1)] = 2.0
+    w[70, 69] = 0.0
+    with pytest.raises(NonErgodicError, match="reducible"):
+        stationary_distribution(RateMatrix(w))
+
+
 # ------------------------------------------------------------- evolution
 
 
@@ -327,25 +411,6 @@ def test_master_equation_guards_against_coarse_steps():
         integrate_master_equation(rates, Distribution([1.0, 0.0]), 0.05, 1.0)
     with pytest.raises(BadParamsError):
         integrate_master_equation(rates, Distribution([1.0, 0.0]), 0.0, 1.0)
-
-
-def _exact_stationary(w):
-    """Stationary law of the rates in exact rational arithmetic."""
-    n = len(w)
-    g = [[Fraction(float(x)) for x in row] for row in w]
-    for i in range(n):
-        g[i][i] = -sum(g[i][j] for j in range(n) if j != i)
-    # pi G = 0 with the last balance equation replaced by sum(pi) = 1
-    a = [[g[j][i] for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
-    a.append([Fraction(1)] * (n + 1))
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return np.array([float(a[i][n] / a[i][i]) for i in range(n)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Trace kinds, verdicts, and the continuous-time entropy production rate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,21 @@ def test_circuit_energy_is_the_half_square_functional():
     )
     assert np.abs(energy.values - half_sq.values).max() < 1e-13
     assert verdict(energy, "non_increasing").holds
+
+
+def test_circuit_energy_refuses_an_overflowing_value(monkeypatch):
+    """A stationary entry of 1e-310 overflows law**2 / pi in the closed form
+    and in the half-square functional alike: both raise, neither warns."""
+    import infodyn.monotonicity as mono
+
+    monkeypatch.setattr(mono, "stationary_distribution", lambda chain: Distribution([1.0, 1e-310]))
+    chain = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+    init = Distribution([0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, q in (("circuit_energy", None), ("u_functional", builtin("half_square"))):
+            with pytest.raises(BadParamsError, match="not finite"):
+                trace_functional(kind, chain, q=q, inits={"init": init}, steps=2)
 
 
 def test_bhattacharyya_trace_mirrors_neg_sqrt_functional():
