@@ -255,7 +255,9 @@ def distortion_bound(psi: float) -> float:
         raise PsiAboveOneError(f"psi = {psi} exceeds 1, no real distortion root")
     if psi <= 0.0:
         return 0.0
-    return 0.5 - 0.5 * math.sqrt(1.0 - min(psi, 1.0))
+    psi = min(psi, 1.0)
+    # (1 - sqrt(1 - psi)) / 2 without the cancellation at small psi.
+    return psi / (2.0 * (1.0 + math.sqrt(1.0 - psi)))
 
 
 def binary_entropy_nats(d: float) -> float:

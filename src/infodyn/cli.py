@@ -134,10 +134,10 @@ def _run_bounds(cfg: ScenarioConfig):
     opts = cfg.options
     config = ExampleConfig(K=opts["K"], L=opts["L"])
     grid = GridSpec(
-        start=opts.get("grid_start", 1e-3),
-        stop=opts.get("grid_stop", 1e6),
-        points=opts.get("grid_points", 64),
-        log_spaced=not opts.get("linear", False),
+        start=opts["grid_start"],
+        stop=opts["grid_stop"],
+        points=opts["grid_points"],
+        log_spaced=not opts["linear"],
     )
     return "report", optimize_s(config, grid)
 
@@ -216,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="sweep the distortion lower bound")
     bounds.add_argument("--K", type=int, required=True)
     bounds.add_argument("--L", type=int, required=True)
-    bounds.add_argument("--grid-start", type=float, default=1e-3, dest="grid_start")
-    bounds.add_argument("--grid-stop", type=float, default=1e6, dest="grid_stop")
-    bounds.add_argument("--grid-points", type=int, default=64, dest="grid_points")
+    bounds.add_argument("--grid-start", type=float, default=GridSpec.start, dest="grid_start")
+    bounds.add_argument("--grid-stop", type=float, default=GridSpec.stop, dest="grid_stop")
+    bounds.add_argument("--grid-points", type=int, default=GridSpec.points, dest="grid_points")
     bounds.add_argument("--linear", action="store_true", help="linear instead of log grid")
     return parser
 

@@ -109,7 +109,7 @@ class Distribution:
             raise BadParamsError("distribution entries must be finite and nonnegative")
         if abs(p.sum() - 1.0) > NORMALIZATION_ATOL:
             raise BadParamsError(
-                f"distribution sums to {p.sum()!r}, expected 1 within {NORMALIZATION_ATOL}"
+                f"distribution sums to {float(p.sum())}, expected 1 within {NORMALIZATION_ATOL}"
             )
         object.__setattr__(self, "probs", _freeze(p))
 

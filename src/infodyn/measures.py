@@ -14,12 +14,15 @@ times lim_{u->inf} Q(u)/u when the limit is finite, else
 SupportMismatchError.  The multi-measure `zakai_ziv_functional`,
 `measure_family_functional` and v_functional trace are strict: such mass
 raises SupportMismatchError, even at arity 1.
+
+`_blend_values` serves both mixed-measure functions: one kernel call per
+stack of letter tuples.  `embed_markov_triple` builds a block-diagonal
+kernel and zero-padded measures without loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import isfinite  # per-step scalars: far cheaper than np.isfinite
 from typing import Sequence
 
@@ -35,7 +38,14 @@ from .errors import (
     SupportMismatchError,
     TooManyLettersError,
 )
-from .markov import Distribution, MeasureFamily, StochasticMatrix, _finite_nonnegative
+from .markov import (
+    NORMALIZATION_ATOL,
+    Distribution,
+    MeasureFamily,
+    StochasticMatrix,
+    _finite_nonnegative,
+    _freeze,
+)
 
 __all__ = [
     "JointDistribution",
@@ -53,18 +63,20 @@ __all__ = [
     "embed_markov_triple",
 ]
 
-NORMALIZATION_ATOL = 1e-12
 MARKOV_FACTORIZATION_ATOL = 1e-9
 MAX_ENUMERATED_LETTERS = 3
+# Cells per blended stack in expected_mixed_measure_information.  It bounds the
+# temporaries and keeps each below glibc's 128 KiB mmap threshold: larger ones
+# are mapped afresh and page-faulted per block (2x slower at |X| = |Y| = 24).
+_BLEND_BLOCK_CELLS = 1 << 14
 
 
 def _frozen_table(a, ndim: int) -> np.ndarray:
-    t = np.array(a, dtype=float, copy=True)
+    t = _freeze(a)
     if t.ndim != ndim or t.size == 0:
         raise BadParamsError(f"need a nonempty {ndim}-d table")
     if not _finite_nonnegative(t):
         raise BadParamsError("table entries must be finite and nonnegative")
-    t.setflags(write=False)
     return t
 
 
@@ -77,7 +89,7 @@ class JointDistribution:
     def __post_init__(self) -> None:
         t = _frozen_table(self.table, 2)
         if abs(t.sum() - 1.0) > NORMALIZATION_ATOL:
-            raise BadParamsError(f"joint sums to {t.sum()!r}, expected 1")
+            raise BadParamsError(f"joint sums to {float(t.sum())}, expected 1")
         object.__setattr__(self, "table", t)
 
     @property
@@ -244,18 +256,34 @@ def _coeff_vector(coeffs, expected: int, label: str) -> np.ndarray:
     return c
 
 
-def _conditional_rows(joint: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
-    px = joint.marginal_x()
-    cond = np.zeros_like(joint.table)
-    pos = px > 0.0
-    cond[pos] = joint.table[pos] / px[pos, None]
-    return px, cond
+def _blend_values(
+    q: ConvexFunction, joint: JointDistribution, s_coeffs, t_coeffs, letters: np.ndarray
+) -> np.ndarray:
+    """Mixed-measure values for each row of the (N, m) letter stack `letters`.
 
+    Row i blends the reference s0 P(x,y) + P(x) sum_j s_j P(y | letters[i, j-1])
+    and the companion with the t coefficients; one kernel call covers all rows.
+    """
+    m = letters.shape[1]
+    s = _coeff_vector(s_coeffs, m + 1, "s")
+    t = _coeff_vector(t_coeffs, m + 1, "t")
+    if np.any(s < 0.0) or not np.any(s > 0.0):
+        raise BadCoefficientsError("s coefficients must be nonnegative with one positive")
+    table, px = joint.table, joint.marginal_x()
+    needed = (s[1:] != 0.0) | (t[1:] != 0.0)
+    if np.any(needed & (px[letters] == 0.0)):
+        raise SupportMismatchError("a weighted letter has zero marginal probability")
+    cond = np.divide(table, px[:, None], out=np.zeros_like(table), where=px[:, None] > 0.0)
+    rows = cond[letters]
 
-def _mixture(table, px, cond, coeffs) -> np.ndarray:
-    """coeffs[0] * P(x,y) + P(x) * sum_i coeffs[i] P(y | x_{i-1})."""
-    blend = coeffs[1:] @ cond
-    return coeffs[0] * table + px[:, None] * blend[None, :]
+    def blend(c: np.ndarray) -> np.ndarray:
+        mixed = c[0] * table + px[:, None] * (c[1:] @ rows)[:, None, :]
+        return mixed.reshape(len(letters), -1)
+
+    reference, companion = blend(s), blend(t)
+    if np.any(companion < 0.0):
+        raise SupportMismatchError("t blend goes negative, outside the function domain")
+    return _ratio_functional(q, reference, companion)
 
 
 def mixed_measure_information(
@@ -269,19 +297,7 @@ def mixed_measure_information(
     positive; the t side is unconstrained.
     """
     _require_arity(q, 1)
-    s = _coeff_vector(s_coeffs, joint.nx + 1, "s")
-    t = _coeff_vector(t_coeffs, joint.nx + 1, "t")
-    if np.any(s < 0.0) or not np.any(s > 0.0):
-        raise BadCoefficientsError("s coefficients must be nonnegative with one positive")
-    px, cond = _conditional_rows(joint)
-    needed = (s[1:] != 0.0) | (t[1:] != 0.0)
-    if np.any(needed & (px == 0.0)):
-        raise SupportMismatchError("a weighted letter has zero marginal probability")
-    reference = _mixture(joint.table, px, cond, s)
-    companion = _mixture(joint.table, px, cond, t)
-    if np.any(companion < 0.0):
-        raise SupportMismatchError("t blend goes negative, outside the function domain")
-    return float(_ratio_functional(q, reference.ravel(), companion.ravel()))
+    return float(_blend_values(q, joint, s_coeffs, t_coeffs, np.arange(joint.nx)[None, :])[0])
 
 
 def simple_extension_coefficients(joint: JointDistribution, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -313,23 +329,17 @@ def expected_mixed_measure_information(
         raise TooManyLettersError(
             f"{num_letters} letters would enumerate {joint.nx}^{num_letters} tuples"
         )
-    s = _coeff_vector(s_coeffs, num_letters + 1, "s")
-    t = _coeff_vector(t_coeffs, num_letters + 1, "t")
-    if np.any(s < 0.0) or not np.any(s > 0.0):
-        raise BadCoefficientsError("s coefficients must be nonnegative with one positive")
-    px, cond = _conditional_rows(joint)
-
+    px = joint.marginal_x()
+    letters = np.indices((joint.nx,) * num_letters).reshape(num_letters, -1).T
+    weights = px[letters].prod(axis=1)
+    letters, weights = letters[weights != 0.0], weights[weights != 0.0]
+    per_block = max(1, _BLEND_BLOCK_CELLS // joint.table.size)
     total = 0.0
-    for letters in product(range(joint.nx), repeat=num_letters):
-        weight = float(np.prod(px[list(letters)]))
-        if weight == 0.0:
-            continue
-        rows = cond[list(letters)]
-        reference = s[0] * joint.table + px[:, None] * (s[1:] @ rows)[None, :]
-        companion = t[0] * joint.table + px[:, None] * (t[1:] @ rows)[None, :]
-        if np.any(companion < 0.0):
-            raise SupportMismatchError("t blend goes negative, outside the function domain")
-        total += weight * _ratio_functional(q, reference.ravel(), companion.ravel())
+    for start in range(0, len(letters), per_block):
+        values = _blend_values(q, joint, s_coeffs, t_coeffs, letters[start : start + per_block])
+        # A running sum in tuple order: np.sum would add pairwise and move the last bits.
+        for term in (weights[start : start + per_block] * values).tolist():
+            total += term
     return float(total)
 
 
@@ -347,13 +357,9 @@ def embed_markov_triple(
     Raises NotMarkovError when the triple does not factor as
     P(u, v) P(w | v) within 1e-9.
     """
-    p3 = np.asarray(p_uvw, dtype=float)
-    if p3.ndim != 3 or p3.size == 0:
-        raise BadParamsError("need a 3-d joint table")
-    if np.any(p3 < 0.0):
-        raise BadParamsError("joint entries must be nonnegative")
+    p3 = _frozen_table(p_uvw, 3)
     if abs(p3.sum() - 1.0) > NORMALIZATION_ATOL:
-        raise BadParamsError(f"joint sums to {p3.sum()!r}, expected 1")
+        raise BadParamsError(f"joint sums to {float(p3.sum())}, expected 1")
     nu, nv, nw = p3.shape
 
     p_uv = p3.sum(axis=2)
@@ -363,33 +369,24 @@ def embed_markov_triple(
     p_uw = p3.sum(axis=1)
     p_w = p_vw.sum(axis=0)
 
-    cond_wv = np.zeros((nv, nw))
     vpos = p_v > 0.0
-    cond_wv[vpos] = p_vw[vpos] / p_v[vpos, None]
+    cond_wv = np.divide(p_vw, p_v[:, None], out=np.zeros((nv, nw)), where=vpos[:, None])
     gap = np.abs(p3 - p_uv[:, :, None] * cond_wv[None, :, :]).max()
     if gap > MARKOV_FACTORIZATION_ATOL:
         raise NotMarkovError(f"triple is not Markov (factorization gap {gap:.3e})")
 
     r = max(nv, nw)
-    kernel = np.zeros((nu * r, nu * r))
-    for u in range(nu):
-        for c in range(r):
-            row = u * r + c
-            if c < nv and vpos[c]:
-                kernel[row, u * r : u * r + nw] = cond_wv[c]
-            else:
-                kernel[row, u * r] = 1.0
+    block = np.zeros((r, r))
+    block[:nv, :nw] = cond_wv
+    block[~np.pad(vpos, (0, r - nv)), 0] = 1.0  # filler rows carry no mass
+    kernel = np.kron(np.eye(nu), block)
 
-    mu = np.zeros((2, nu * r))
-    mu_next = np.zeros((2, nu * r))
-    for u in range(nu):
-        mu[0, u * r : u * r + nv] = p_uv[u]
-        mu[1, u * r : u * r + nv] = p_u[u] * p_v
-        mu_next[0, u * r : u * r + nw] = p_uw[u]
-        mu_next[1, u * r : u * r + nw] = p_u[u] * p_w
-
+    mu = np.zeros((2, nu, r))
+    mu[:, :, :nv] = p_uv, np.outer(p_u, p_v)
+    mu_next = np.zeros((2, nu, r))
+    mu_next[:, :, :nw] = p_uw, np.outer(p_u, p_w)
     return (
         StochasticMatrix(kernel),
-        MeasureFamily(mu, require_positive=False),
-        MeasureFamily(mu_next, require_positive=False),
+        MeasureFamily(mu.reshape(2, -1), require_positive=False),
+        MeasureFamily(mu_next.reshape(2, -1), require_positive=False),
     )

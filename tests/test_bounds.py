@@ -1,6 +1,7 @@
 """Bound curve, endpoints, and the brute-force oracles for both sides."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -281,6 +282,36 @@ def test_smaller_root_inverts_the_parabola():
         assert 4.0 * d * (1.0 - d) == pytest.approx(psi, abs=1e-12)
 
 
+def _decimal_root(psi: float) -> Decimal:
+    """Smaller root (1 - sqrt(1 - psi)) / 2 carried to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (1 - (1 - Decimal(psi)).sqrt()) / 2
+
+
+def test_distortion_bound_against_a_decimal_root():
+    for psi in [*np.geomspace(1e-20, 1.0, 400), 20001 / 20000 - 1.0]:
+        exact = _decimal_root(float(psi))
+        assert abs(Decimal(distortion_bound(float(psi))) - exact) <= Decimal(1e-15) * exact
+
+
+def _decimal_psi(s: float, k: int, l: int) -> Decimal:
+    """The displayed psi(s) form, whose cancellation 80 digits absorb."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        s, k, l = Decimal(s), Decimal(k), Decimal(l)
+        inner = (k / (s.sqrt() + (s + l).sqrt()) + 2 * s.sqrt()) ** 2 - 2 * s - k
+        return inner**2 / k**2 - 4 * s * (s + k) / k**2
+
+
+def test_psi_exact_against_a_decimal_oracle():
+    for k, l in [(3, 2), (5, 4), (7, 4), (4, 2), (101, 100)]:
+        config = ExampleConfig(k, l)
+        for s in [0.0, *np.geomspace(1e-6, 1e15, 120)]:
+            exact = _decimal_psi(float(s), k, l)
+            assert abs(Decimal(psi_exact(float(s), config)) - exact) <= Decimal(3e-14) * abs(exact)
+
+
 # -------------------------------------------------------- classical route
 
 
@@ -314,6 +345,27 @@ def test_classical_bound_frozen_and_consistent():
     assert abs(binary_entropy_nats(root) - math.log(1.5)) < 1e-11
     # The entropy curve is flat at d = 1/2, so only sqrt-of-ulp accuracy here.
     assert abs(classical_bound(ExampleConfig(4, 2)) - 0.5) < 1e-7
+
+
+def _decimal_classical(k: int, l: int) -> Decimal:
+    """Bisect h(d) = log(K/L) on [0, 1/2] in 50-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        target = (Decimal(k) / Decimal(l)).ln()
+        lo, hi = Decimal(0), Decimal("0.5")
+        for _ in range(110):
+            mid = (lo + hi) / 2
+            if -mid * mid.ln() - (1 - mid) * (1 - mid).ln() < target:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def test_classical_bound_against_a_decimal_bisection():
+    for k, l in [(3, 2), (5, 4), (7, 4), (101, 100), (19, 10), (199, 100), (20001, 20000)]:
+        exact = _decimal_classical(k, l)
+        assert abs(Decimal(classical_bound(ExampleConfig(k, l))) - exact) <= Decimal(2e-12)
 
 
 def test_three_bounds_are_strictly_ordered():

@@ -426,6 +426,26 @@ def test_cli_measure_v_rejects_an_overflowing_entry(capsys, tmp_path):
 @pytest.mark.parametrize(
     "op, docs",
     [
+        ("fdiv", {"p1": {"probs": [0.5, 0.4]}, "p2": {"probs": [0.5, 0.5]}}),
+        ("mi", {"joint": {"nx": 1, "ny": 2, "table": [[0.5, 0.4]]}}),
+    ],
+    ids=["fdiv", "mi"],
+)
+def test_cli_sum_error_prints_a_plain_float(capsys, tmp_path, op, docs):
+    """The reported sum reads as a number, not as a numpy scalar repr."""
+    args = ["measure", "--op", op, "--q", "neg_log"]
+    for key, doc in docs.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+        args += [f"--{key}", str(tmp_path / f"{key}.json")]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "sums to 0.9" in err and "np.float64" not in err
+
+
+@pytest.mark.parametrize(
+    "op, docs",
+    [
         ("v", {"family": {"measures": [[1e-300, 1.0], [1e300, 1.0]]}}),
         ("fdiv", {"p1": {"probs": [1e-320, 1.0]}, "p2": {"probs": [0.5, 0.5]}}),
     ],

@@ -1,6 +1,8 @@
 """Information functionals against brute-force summation oracles."""
 
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from infodyn import (
     trace_functional,
     zakai_ziv_functional,
 )
+import infodyn.measures as measures_module
 from infodyn.measures import _ratio_functional
 
 
@@ -457,6 +460,76 @@ def test_expected_mixed_enumeration_cap():
         expected_mixed_measure_information(builtin("neg_log"), joint, [0.0, 0.0], [0.0, 1.0], 1)
 
 
+def _expected_per_tuple(q, joint, s, t, m):
+    """The expectation as one kernel call per letter tuple, summed in tuple order."""
+    px = joint.marginal_x()
+    cond = np.zeros_like(joint.table)
+    cond[px > 0.0] = joint.table[px > 0.0] / px[px > 0.0, None]
+    total = 0.0
+    for letters in product(range(joint.nx), repeat=m):
+        weight = float(np.prod(px[list(letters)]))
+        if weight == 0.0:
+            continue
+        rows = cond[list(letters)]
+        reference = s[0] * joint.table + px[:, None] * (s[1:] @ rows)[None, :]
+        companion = t[0] * joint.table + px[:, None] * (t[1:] @ rows)[None, :]
+        total += weight * _ratio_functional(q, reference.ravel(), companion.ravel())
+    return total
+
+
+def _joint_with_a_dead_letter(rng, nx, ny):
+    table = rng.random((nx, ny)) + 0.05
+    table[rng.integers(nx)] = 0.0
+    return JointDistribution(table / table.sum())
+
+
+def test_expected_mixed_equals_the_per_tuple_sum():
+    rng = np.random.default_rng(21)
+    for q in all_builtins():
+        for m in (2, 3):
+            for nx in (2, 3, 4):
+                joint = _joint_with_a_dead_letter(rng, nx, int(rng.integers(1, 5)))
+                s = np.concatenate(([rng.random() + 0.1], rng.random(m)))
+                t = rng.random(m + 1)
+                value = expected_mixed_measure_information(q, joint, s, t, m)
+                assert value == _expected_per_tuple(q, joint, s, t, m), (q.name, m, nx)
+
+
+def test_expected_mixed_blocks_agree_with_one_stack(monkeypatch):
+    rng = np.random.default_rng(22)
+    joint = _joint_with_a_dead_letter(rng, 4, 3)
+    q = builtin("neg_sqrt")
+    s, t = [1.0, 0.3, 0.2, 0.1], [0.2, 0.5, 0.3, 0.2]
+    one_stack = expected_mixed_measure_information(q, joint, s, t, 3)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return _ratio_functional(*args, **kwargs)
+
+    monkeypatch.setattr(measures_module, "_ratio_functional", counting)
+    expected_mixed_measure_information(q, joint, s, t, 3)
+    assert calls == [27]  # the 3^3 tuples free of the dead letter, in one stack
+    calls.clear()
+    monkeypatch.setattr(measures_module, "_BLEND_BLOCK_CELLS", 5 * joint.table.size)
+    assert expected_mixed_measure_information(q, joint, s, t, 3) == one_stack
+    assert calls == [5] * 5 + [2]
+
+
+def test_expected_mixed_memory_stays_bounded():
+    rng = np.random.default_rng(23)
+    joint = random_joint(rng, 16, 16)
+    tracemalloc.start()
+    try:
+        expected_mixed_measure_information(
+            builtin("neg_sqrt"), joint, [1.0, 0.3, 0.2, 0.1], [0.0, 0.5, 0.3, 0.2], 3
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 # --------------------------------------------------------------- embedding
 
 
@@ -481,6 +554,13 @@ def test_embedding_handles_unequal_alphabets():
     p3 = random_markov_triple(rng, 2, 2, 3)
     kernel, fam_now, fam_next = embed_markov_triple(p3)
     assert kernel.n == 2 * 3  # padded to the larger letter alphabet
+    stepped = evolve_measures(kernel, fam_now, 1)[1]
+    assert np.abs(stepped.measures - fam_next.measures).max() < 1e-12
+
+    p3[:, 0, :] = 0.0  # V letter 0 leaves the support and takes a filler row
+    kernel, fam_now, fam_next = embed_markov_triple(p3 / p3.sum())
+    for row in (0, 2, 3, 5):  # the dead letter and the padding letter, for u = 0, 1
+        assert np.array_equal(kernel.matrix[row], np.eye(6)[3 * (row // 3)])
     stepped = evolve_measures(kernel, fam_now, 1)[1]
     assert np.abs(stepped.measures - fam_next.measures).max() < 1e-12
 
@@ -511,4 +591,12 @@ def test_embedding_rejects_non_markov_triples():
     p3 = rng.random((3, 3, 3)) + 0.05
     p3 /= p3.sum()
     with pytest.raises(NotMarkovError):
+        embed_markov_triple(p3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embedding_rejects_non_finite_entries(bad):
+    p3 = random_markov_triple(np.random.default_rng(24), 2, 2, 2)
+    p3[0, 1, 1] = bad
+    with pytest.raises(BadParamsError, match="table entries must be finite"):
         embed_markov_triple(p3)
