@@ -32,7 +32,7 @@ from .errors import (
     OutOfValidityRangeError,
     PsiAboveOneError,
 )
-from .markov import Distribution, _finite_nonnegative
+from .markov import Distribution, _finite_nonnegative, _freeze
 from .measures import JointDistribution
 
 __all__ = [
@@ -95,13 +95,12 @@ class EpsilonChannel:
     eps: np.ndarray
 
     def __post_init__(self) -> None:
-        e = np.array(self.eps, dtype=float, copy=True)
+        e = np.asarray(self.eps, dtype=float)
         if e.ndim != 1 or e.size < 3:
             raise BadParamsError("eps must be a vector with at least 3 entries")
         if not _finite_nonnegative(e) or np.any(e > 1.0):
             raise BadParamsError("crossover probabilities must lie in [0, 1]")
-        e.setflags(write=False)
-        object.__setattr__(self, "eps", e)
+        object.__setattr__(self, "eps", _freeze(e))
 
     @property
     def K(self) -> int:
@@ -112,12 +111,7 @@ class EpsilonChannel:
         return float(self.eps.mean())
 
     def transition_matrix(self) -> np.ndarray:
-        k = self.K
-        t = np.zeros((k, k))
-        for u in range(k):
-            t[u, u] = 1.0 - self.eps[u]
-            t[u, (u + 1) % k] += self.eps[u]
-        return t
+        return np.diag(1.0 - self.eps) + np.roll(np.diag(self.eps), 1, axis=1)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,14 @@ is integrated with a fixed-step classical 4th-order scheme.  For this
 linear equation one RK4 step is exactly p <- p R, R = sum_{k<=4} (dt G)^k / k!
 with G the generator, so both time scales share one engine: `trajectory`
 steps stacked row vectors through T, or through R built once (as p + p D
-with D = R - I), and `propagate` collects them into one array that is
-validated at the boundary, never per step.  Measure
-families evolve by the same linear recursion as distributions, without any
-normalization, which is what makes the monotone functionals downstream
-well-defined.
+with D = R - I), and `propagate` collects them into one array.
+
+Constructors of laws and kernels share one rule, `_normalized`: a sum
+within NORMALIZATION_ATOL of 1 is divided out once, so no row excess
+compounds along a trajectory and evolve results are read-only row views
+checked once for finite, nonnegative entries.  Measure families evolve by
+the same linear recursion as distributions, without any normalization,
+which is what makes the monotone functionals downstream well-defined.
 """
 
 from __future__ import annotations
@@ -76,22 +79,42 @@ def _finite_nonnegative(a: np.ndarray, axis=None):
     return np.all((a >= 0.0) & (a < np.inf), axis=axis)
 
 
-def _wrap_rows(cls, name: str, laws: np.ndarray, ok: np.ndarray, **fields) -> list:
-    """One `cls` per row of `laws`, its array field `name` checked once as a whole.
+def _normalized(a: np.ndarray, axis: int | None, message: str) -> np.ndarray:
+    """The one normalization rule: a read-only copy of `a`, its sums along `axis` made 1.
 
-    `ok` is the constructor's own check, vectorized over the rows.  A row it
-    fails goes through the constructor, which raises the constructor's
-    error at the first bad row; the others become read-only views without
-    running __post_init__ again.
+    Sums (of all entries when `axis` is None) within NORMALIZATION_ATOL of 1
+    are divided out once, in place and only if one is not exactly 1.0, so
+    exact input stays bit-identical.  Any other sum raises BadParamsError with
+    `message` formatted by `total` (the first sum), `rows` (those off) and `atol`.
     """
+    sums = a.sum(axis=axis, keepdims=True)
+    off = np.abs(sums - 1.0) > NORMALIZATION_ATOL
+    if np.any(off):
+        total, rows = float(sums.flat[0]), np.flatnonzero(off).tolist()
+        raise BadParamsError(message.format(total=total, rows=rows, atol=NORMALIZATION_ATOL))
+    out = _freeze(a)
+    if np.any(sums != 1.0):
+        out.setflags(write=True)
+        out /= sums
+        out.setflags(write=False)
+    return out
+
+
+def _wrap_rows(cls, name: str, laws: np.ndarray, ok=True, **fields) -> list:
+    """One `cls` per row of `laws`: read-only views, checked once as a whole.
+
+    Rows must be finite and nonnegative and pass `ok`, the rest of the
+    constructor's check; at the first row that fails, the constructor raises
+    its own error.  Sums need no check: normalized kernel rows keep them.
+    """
+    ok = ok & _finite_nonnegative(laws, axis=tuple(range(1, laws.ndim)))
+    if not np.all(ok):
+        cls(laws[np.argmin(ok)], **fields)
     laws.setflags(write=False)
     out = []
-    for row, good in zip(laws, ok):
-        if good:
-            out.append(object.__new__(cls))
-            out[-1].__dict__.update({name: row, **fields})
-        else:
-            out.append(cls(row, **fields))
+    for row in laws:
+        out.append(object.__new__(cls))
+        out[-1].__dict__.update({name: row, **fields})
     return out
 
 
@@ -107,11 +130,8 @@ class Distribution:
             raise BadParamsError("distribution must be a nonempty 1-d vector")
         if not _finite_nonnegative(p):
             raise BadParamsError("distribution entries must be finite and nonnegative")
-        if abs(p.sum() - 1.0) > NORMALIZATION_ATOL:
-            raise BadParamsError(
-                f"distribution sums to {float(p.sum())}, expected 1 within {NORMALIZATION_ATOL}"
-            )
-        object.__setattr__(self, "probs", _freeze(p))
+        p = _normalized(p, None, "distribution sums to {total}, expected 1 within {atol}")
+        object.__setattr__(self, "probs", p)
 
     @property
     def n(self) -> int:
@@ -130,10 +150,7 @@ class StochasticMatrix:
             raise BadParamsError("transition matrix must be square and nonempty")
         if not _finite_nonnegative(t) or np.any(t > 1.0):
             raise BadParamsError("transition probabilities must lie in [0, 1]")
-        bad = np.abs(t.sum(axis=1) - 1.0) > NORMALIZATION_ATOL
-        if np.any(bad):
-            raise BadParamsError(f"rows {np.flatnonzero(bad).tolist()} do not sum to 1")
-        object.__setattr__(self, "matrix", _freeze(t))
+        object.__setattr__(self, "matrix", _normalized(t, 1, "rows {rows} do not sum to 1"))
 
     @property
     def n(self) -> int:
@@ -278,11 +295,11 @@ def stationary_distribution(chain: Chain, tol: float = 1e-12) -> Distribution:
 
     if np.any(pi <= 0.0):
         raise NonErgodicError("stationary law is not strictly positive")
-    pi = pi / pi.sum()
-    residual = float(np.abs(_drift(chain, pi)).max())
+    law = Distribution(pi)
+    residual = float(np.abs(_drift(chain, law.probs)).max())
     if residual > max(tol, 1e-10):
         raise NonErgodicError(f"stationary residual {residual:.3e} exceeds tolerance")
-    return Distribution(pi)
+    return law
 
 
 def _check_discrete(chain: Chain) -> StochasticMatrix:
@@ -356,8 +373,10 @@ def propagate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The whole `trajectory` as arrays: times (steps+1,), laws (steps+1, *rows.shape)."""
     path = trajectory(chain, rows, steps, dt)
-    times = np.empty(int(steps) + 1)
-    laws = np.empty((int(steps) + 1, *np.shape(rows)))
+    try:  # numpy refuses at once a size beyond the address space or its dimension limit
+        times, laws = np.empty(int(steps) + 1), np.empty((int(steps) + 1, *np.shape(rows)))
+    except (MemoryError, ValueError) as exc:
+        raise BadParamsError(f"{int(steps) + 1:.3g} laws cannot be held: {exc}") from exc
     for k, (t, law) in enumerate(path):
         times[k], laws[k] = t, law
     return times, laws
@@ -367,18 +386,15 @@ def horizon_steps(dt: float, horizon: float) -> int:
     """Number of whole dt steps that fit in the horizon."""
     if not (dt > 0.0 and horizon >= dt):
         raise BadParamsError("need dt > 0 and horizon >= dt")
+    if not horizon / dt < np.inf:
+        raise BadParamsError(f"horizon {horizon} holds no finite number of steps of {dt}")
     return int(np.floor(horizon / dt + 1e-9))
-
-
-def _distributions(laws: np.ndarray) -> list[Distribution]:
-    sums_ok = np.abs(laws.sum(axis=1) - 1.0) <= NORMALIZATION_ATOL
-    return _wrap_rows(Distribution, "probs", laws, _finite_nonnegative(laws, axis=1) & sums_ok)
 
 
 def evolve_distribution(chain: StochasticMatrix, init: Distribution, steps: int) -> list[Distribution]:
     """Forward trajectory [p_0, p_1, ..., p_steps] with p_{t+1} = p_t T."""
     _, laws = propagate(_check_discrete(chain), init.probs, steps)
-    return [init, *_distributions(laws[1:])]
+    return [init, *_wrap_rows(Distribution, "probs", laws[1:])]
 
 
 def evolve_measures(chain: StochasticMatrix, family: MeasureFamily, steps: int) -> list[MeasureFamily]:
@@ -389,9 +405,7 @@ def evolve_measures(chain: StochasticMatrix, family: MeasureFamily, steps: int) 
     """
     _, laws = propagate(_check_discrete(chain), family.measures, steps)
     laws = laws[1:]
-    ok = _finite_nonnegative(laws, axis=(1, 2))
-    if family.require_positive:
-        ok &= np.all(laws[:, 0] > 0.0, axis=1)
+    ok = np.all(laws[:, 0] > 0.0, axis=1) if family.require_positive else True
     rows = _wrap_rows(MeasureFamily, "measures", laws, ok, require_positive=family.require_positive)
     return [family, *rows]
 
@@ -408,7 +422,7 @@ def integrate_master_equation(
     if not isinstance(rates, RateMatrix):
         raise BadParamsError("operation requires a continuous-time chain")
     times, laws = propagate(rates, init.probs, horizon_steps(dt, horizon), dt)
-    return [(0.0, init), *zip(times[1:].tolist(), _distributions(laws[1:]))]
+    return [(0.0, init), *zip(times[1:].tolist(), _wrap_rows(Distribution, "probs", laws[1:]))]
 
 
 def check_balance(chain: Chain, pi: Distribution, tol: float = 1e-9) -> BalanceReport:
@@ -468,23 +482,12 @@ def build_example_chain(kind: str, **params) -> Chain:
         arrival rate ``lam`` and service rate ``mu``, cut at ``n_states``.
       * ``custom``: explicit ``matrix``, discrete unless ``continuous=True``.
     """
-    if kind == "mod_k_walk":
+    if kind in ("mod_k_walk", "cyclic"):
         k = _int_param(params, "K")
         if k < 2:
-            raise BadParamsError("mod_k_walk needs K >= 2")
-        t = np.zeros((k, k))
-        for i in range(k):
-            t[i, (i + 1) % k] += 0.5
-            t[i, (i - 1) % k] += 0.5
-        return StochasticMatrix(t)
-    if kind == "cyclic":
-        k = _int_param(params, "K")
-        if k < 2:
-            raise BadParamsError("cyclic needs K >= 2")
-        t = np.zeros((k, k))
-        for i in range(k):
-            t[i, (i + 1) % k] = 1.0
-        return StochasticMatrix(t)
+            raise BadParamsError(f"{kind} needs K >= 2")
+        shift = np.roll(np.eye(k), 1, axis=1)  # x -> x + 1 mod K
+        return StochasticMatrix(shift if kind == "cyclic" else 0.5 * shift + 0.5 * shift.T)
     if kind == "mm1_truncated":
         lam = float(params.get("lam", float("nan")))
         mu = float(params.get("mu", float("nan")))
@@ -493,11 +496,7 @@ def build_example_chain(kind: str, **params) -> Chain:
             raise BadParamsError("mm1_truncated needs 0 < lam < mu")
         if n < 2:
             raise BadParamsError("mm1_truncated needs n_states >= 2")
-        w = np.zeros((n, n))
-        for x in range(n - 1):
-            w[x, x + 1] = lam
-            w[x + 1, x] = mu
-        return RateMatrix(w)
+        return RateMatrix(np.diag(np.full(n - 1, lam), 1) + np.diag(np.full(n - 1, mu), -1))
     if kind == "custom":
         if "matrix" not in params:
             raise BadParamsError("custom chain needs a matrix")

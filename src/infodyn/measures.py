@@ -39,12 +39,12 @@ from .errors import (
     TooManyLettersError,
 )
 from .markov import (
-    NORMALIZATION_ATOL,
     Distribution,
     MeasureFamily,
     StochasticMatrix,
     _finite_nonnegative,
     _freeze,
+    _normalized,
 )
 
 __all__ = [
@@ -71,8 +71,8 @@ MAX_ENUMERATED_LETTERS = 3
 _BLEND_BLOCK_CELLS = 1 << 14
 
 
-def _frozen_table(a, ndim: int) -> np.ndarray:
-    t = _freeze(a)
+def _table(a, ndim: int) -> np.ndarray:
+    t = np.asarray(a, dtype=float)
     if t.ndim != ndim or t.size == 0:
         raise BadParamsError(f"need a nonempty {ndim}-d table")
     if not _finite_nonnegative(t):
@@ -87,9 +87,7 @@ class JointDistribution:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        t = _frozen_table(self.table, 2)
-        if abs(t.sum() - 1.0) > NORMALIZATION_ATOL:
-            raise BadParamsError(f"joint sums to {float(t.sum())}, expected 1")
+        t = _normalized(_table(self.table, 2), None, "joint sums to {total}, expected 1")
         object.__setattr__(self, "table", t)
 
     @property
@@ -114,7 +112,7 @@ class PairMeasure:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _frozen_table(self.table, 2))
+        object.__setattr__(self, "table", _freeze(_table(self.table, 2)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -357,9 +355,7 @@ def embed_markov_triple(
     Raises NotMarkovError when the triple does not factor as
     P(u, v) P(w | v) within 1e-9.
     """
-    p3 = _frozen_table(p_uvw, 3)
-    if abs(p3.sum() - 1.0) > NORMALIZATION_ATOL:
-        raise BadParamsError(f"joint sums to {float(p3.sum())}, expected 1")
+    p3 = _normalized(_table(p_uvw, 3), None, "joint sums to {total}, expected 1")
     nu, nv, nw = p3.shape
 
     p_uv = p3.sum(axis=2)

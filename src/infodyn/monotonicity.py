@@ -33,6 +33,7 @@ from .markov import (
     propagate,
     stationary_distribution,
     trajectory,
+    _freeze,
 )
 from .measures import _ratio_functional, _require_arity, _require_finite
 
@@ -81,9 +82,7 @@ class TimeSeries:
         if t.size > 1 and np.any(np.diff(t) <= 0.0):
             raise BadParamsError("times must be strictly increasing")
         for name, arr in (("times", t), ("values", v)):
-            arr = np.array(arr, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr))
 
     def __len__(self) -> int:
         return self.times.size

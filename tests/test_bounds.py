@@ -72,6 +72,19 @@ def test_epsilon_channel_matrix_and_distortion():
     assert np.array_equal(rotation, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
+def test_epsilon_channel_matrix_equals_its_loop_definition():
+    rng = np.random.default_rng(23)
+    for trial in range(50):
+        eps = rng.random(rng.integers(3, 65))
+        eps[rng.random(eps.size) < 0.2] = trial % 2  # exact 0 and 1 crossovers too
+        k = eps.size
+        expected = np.zeros((k, k))
+        for u in range(k):
+            expected[u, u] = 1.0 - eps[u]
+            expected[u, (u + 1) % k] += eps[u]
+        assert EpsilonChannel(eps).transition_matrix().tobytes() == expected.tobytes()
+
+
 def test_epsilon_channel_validation():
     with pytest.raises(BadParamsError):
         EpsilonChannel([0.1, 0.2])

@@ -308,6 +308,46 @@ def test_cli_evolve_survives_row_sum_drift(capsys, tmp_path):
         assert len(out.strip().split("\n")) == 2002
 
 
+def test_cli_drifting_kernel_traces_like_its_normalized_rows(capsys, tmp_path):
+    """kl_to_stationary on rows 5e-13 over 1 matches the rows divided by their sums."""
+    rng = np.random.default_rng(29)
+    raw = rng.random((6, 6)) + 0.05
+    raw /= raw.sum(axis=1, keepdims=True) / (1.0 + 5e-13)
+    traces = []
+    for name, m in (("raw", raw), ("divided", raw / raw.sum(axis=1, keepdims=True))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"kind": "discrete", "n": 6, "matrix": m.tolist()}))
+        code, out = _run(
+            capsys, "evolve", "--chain", str(path), "--functional", "kl_to_stationary",
+            "--init", "delta0", "--steps", "2000",
+        )
+        assert code == 0
+        traces.append(np.array([float(line.split(",")[1]) for line in out.split()[1:]]))
+    assert traces[0].size == 2001
+    assert np.abs(traces[0] - traces[1]).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "chain, flag, value",
+    [
+        (RateMatrix([[0.0, 1.0], [1.0, 0.0]]), "--horizon", "inf"),
+        (RateMatrix([[0.0, 1.0], [1.0, 0.0]]), "--horizon", "1e300"),
+        (StochasticMatrix([[0.0, 1.0], [1.0, 0.0]]), "--steps", "100000000000000"),
+    ],
+    ids=["inf-horizon", "huge-horizon", "huge-steps"],
+)
+def test_cli_trajectory_that_cannot_be_held_exits_2(capsys, tmp_path, chain, flag, value):
+    """Sizes beyond the address space, which numpy refuses without allocating."""
+    path = tmp_path / "chain.json"
+    save_chain(chain, path)
+    code = main(
+        ["evolve", "--chain", str(path), "--functional", "entropy", "--init", "delta0", flag, value]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_check_detailed_balance(capsys, tmp_path):
     path = tmp_path / "mm1.json"
     save_chain(build_example_chain("mm1_truncated", n_states=4, lam=1.0, mu=2.0), path)

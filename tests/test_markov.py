@@ -27,7 +27,8 @@ from infodyn import (
     integrate_master_equation,
     stationary_distribution,
 )
-from infodyn.markov import propagate
+from infodyn.markov import horizon_steps, propagate
+from infodyn.measures import JointDistribution, embed_markov_triple
 
 
 # ---------------------------------------------------------------- types
@@ -40,6 +41,60 @@ def test_distribution_rejects_negative_and_unnormalized():
         Distribution([0.3, 0.3])
     with pytest.raises(BadParamsError):
         Distribution([])
+
+
+def test_constructors_divide_out_a_sum_within_tolerance():
+    """Exact sums keep the input bit for bit; the others are divided once."""
+    rng = np.random.default_rng(5)
+    exact = np.array([0.125, 0.375, 0.5])
+    assert np.array_equal(Distribution(exact).probs, exact)
+    p = rng.random(7) + 0.1
+    p /= p.sum() / (1.0 + 4e-13)
+    assert p.sum() != 1.0
+    assert np.array_equal(Distribution(p).probs, p / p.sum())
+
+    m = rng.random((6, 6)) + 0.1
+    m /= m.sum(axis=1, keepdims=True)
+    m[::2] = np.array([0.25, 0.125, 0.125, 0.25, 0.125, 0.125])
+    m[1] *= 1.0 + 6e-13
+    sums = m.sum(axis=1, keepdims=True)
+    assert np.all(sums[::2] == 1.0) and np.any(sums != 1.0)
+    kernel = StochasticMatrix(m).matrix
+    assert np.array_equal(kernel, m / sums)
+    assert np.array_equal(kernel[::2], m[::2])
+
+    t = np.array([[0.5, 0.25], [0.125, 0.125]])
+    assert np.array_equal(JointDistribution(t).table, t)
+    off = t * (1.0 - 3e-13)
+    assert off.sum() != 1.0
+    assert np.array_equal(JointDistribution(off).table, off / off.sum())
+
+    triple = np.full((2, 2, 2), 0.125) * (1.0 + 2e-13)
+    kernel_off, *fams_off = embed_markov_triple(triple)
+    kernel_div, *fams_div = embed_markov_triple(triple / triple.sum())
+    assert np.array_equal(kernel_off.matrix, kernel_div.matrix)
+    for a, b in zip(fams_off, fams_div):
+        assert np.array_equal(a.measures, b.measures)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Distribution([0.3, 0.3]), "distribution sums to 0.6, expected 1 within 1e-12"),
+        (lambda: StochasticMatrix([[0.5, 0.6], [0.5, 0.5]]), "rows [0] do not sum to 1"),
+        (
+            lambda: StochasticMatrix([[1.0 + 5e-13, 0.0], [0.5, 0.5]]),
+            "transition probabilities must lie in [0, 1]",
+        ),
+        (lambda: JointDistribution([[0.5, 0.4], [0.0, 0.0]]), "joint sums to 0.9, expected 1"),
+        (lambda: embed_markov_triple(np.full((2, 2, 2), 0.1)), "joint sums to 0.8, expected 1"),
+    ],
+    ids=["distribution", "rows", "entry", "joint", "triple"],
+)
+def test_constructors_keep_their_sum_errors(build, error):
+    with pytest.raises(BadParamsError) as raised:
+        build()
+    assert str(raised.value) == error
 
 
 def test_distribution_is_frozen():
@@ -308,19 +363,32 @@ def test_wrappers_check_once_and_return_frozen_rows():
         timed[4][1].probs[1] = 0.0
 
 
-def test_evolve_raises_the_constructor_error_at_the_first_drifting_step():
-    """A kernel 5e-13 off stochastic fails at the step a per-step Distribution would."""
-    base = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
-    chain = StochasticMatrix(base * (1.0 + 5e-13))
-    init = Distribution([1.0, 0.0, 0.0])
-    _, laws = propagate(chain, init.probs, 200)
-    first = next(k for k, p in enumerate(laws) if abs(p.sum() - 1.0) > 1e-12)
-    with pytest.raises(BadParamsError) as expected:
-        Distribution(laws[first])
-    with pytest.raises(BadParamsError) as raised:
-        evolve_distribution(chain, init, 200)
-    assert str(raised.value) == str(expected.value)
-    assert len(evolve_distribution(chain, init, first - 1)) == first
+def test_evolve_holds_the_mass_of_a_drifting_kernel():
+    """Rows 5e-13 over 1 pass construction and must not raise 2000 steps later."""
+    rng = np.random.default_rng(13)
+    raw = rng.random((6, 6)) + 0.05
+    raw /= raw.sum(axis=1, keepdims=True) / (1.0 + 5e-13)
+    p = np.eye(6)[0]
+    for _ in range(2000):  # the kernel as given: its excess compounds
+        p = p @ raw
+    assert p.sum() - 1.0 > 1e-10
+    laws = evolve_distribution(StochasticMatrix(raw), Distribution(np.eye(6)[0]), 2000)
+    assert len(laws) == 2001
+    assert max(abs(d.probs.sum() - 1.0) for d in laws) <= 1e-13
+
+
+def test_horizon_must_hold_a_finite_number_of_steps():
+    assert horizon_steps(0.1, 1.0) == 10
+    for dt, horizon in ((0.01, np.inf), (1e-10, 1e300)):
+        with pytest.raises(BadParamsError, match="finite number of steps"):
+            horizon_steps(dt, horizon)
+
+
+@pytest.mark.parametrize("steps", [10**14, 10**302], ids=["memory", "dimension"])
+def test_propagate_refuses_a_trajectory_it_cannot_hold(steps):
+    """Both sizes exceed the address space, so numpy refuses them without allocating."""
+    with pytest.raises(BadParamsError, match="cannot be held"):
+        propagate(build_example_chain("cyclic", K=3), np.eye(3)[0], steps)
 
 
 def test_evolve_measures_raises_at_a_vanishing_reference():
@@ -547,6 +615,33 @@ def test_build_mm1_rates():
     expected = [[0.0, 1.0, 0.0], [2.0, 0.0, 1.0], [0.0, 2.0, 0.0]]
     assert isinstance(rates, RateMatrix)
     assert np.abs(rates.matrix - expected).max() == 0.0
+
+
+def _loop_builders(k, lam, mu):
+    """The stock matrices filled entry by entry, as the reference for the array builders."""
+    walk, cycle, rates = np.zeros((k, k)), np.zeros((k, k)), np.zeros((k, k))
+    for i in range(k):
+        walk[i, (i + 1) % k] += 0.5
+        walk[i, (i - 1) % k] += 0.5
+        cycle[i, (i + 1) % k] = 1.0
+    for x in range(k - 1):
+        rates[x, x + 1] = lam
+        rates[x + 1, x] = mu
+    return walk, cycle, rates
+
+
+def test_stock_builders_equal_their_loop_definitions():
+    rng = np.random.default_rng(17)
+    for k in range(2, 65):
+        lam, mu = np.sort(rng.random(2) * 3.0 + 0.01)
+        walk, cycle, rates = _loop_builders(k, lam, mu)
+        built = (
+            build_example_chain("mod_k_walk", K=k),
+            build_example_chain("cyclic", K=k),
+            build_example_chain("mm1_truncated", lam=lam, mu=mu, n_states=k),
+        )
+        for chain, expected in zip(built, (walk, cycle, rates)):
+            assert chain.matrix.tobytes() == expected.tobytes()
 
 
 def test_build_custom_chain():
