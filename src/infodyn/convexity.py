@@ -9,10 +9,10 @@ preserves convexity and raises the arity by one; it is the device that
 turns a ratio functional with an arbitrary positive reference into one
 weighted by a probability law.
 
-Evaluators are defined on the strictly positive orthant.  ``u_log_u`` is
-extended by continuity with 0 log 0 = 0; every other builtin rejects zero
-arguments.  ``recession_slope`` records lim Q(u)/u for u -> infinity when
-that limit is finite (None means it diverges); downstream code uses it to
+Evaluators are defined on the strictly positive orthant.  Builtins with a
+finite Q(0) take zero too (``u_log_u`` by continuity, 0 log 0 = 0); only
+``neg_log`` rejects it.  ``recession_slope`` records lim Q(u)/u for u -> infinity
+when that limit is finite (None means it diverges); downstream code uses it to
 assign the continuity value to terms whose reference weight vanishes.
 """
 
@@ -171,13 +171,14 @@ def builtin(name: str, **params) -> ConvexFunction:
             name,
             1,
             lambda u, s=s: -(u**s),
+            accepts_zero=True,
             recession_slope=-1.0 if s == 1.0 else 0.0,
             params={"s": s},
         )
     if name == "square":
-        return ConvexFunction("square", 1, lambda u: u * u)
+        return ConvexFunction("square", 1, lambda u: u * u, accepts_zero=True)
     if name == "half_square":
-        return ConvexFunction("half_square", 1, lambda u: 0.5 * u * u)
+        return ConvexFunction("half_square", 1, lambda u: 0.5 * u * u, accepts_zero=True)
     if name == "piecewise_linear":
         points = params.get("breakpoints")
         if points is None or len(points) < 2:
@@ -195,6 +196,7 @@ def builtin(name: str, **params) -> ConvexFunction:
             "piecewise_linear",
             1,
             _piecewise_evaluator(xs, ys, slopes),
+            accepts_zero=True,
             recession_slope=float(slopes[-1]),
             params={"breakpoints": [(float(x), float(y)) for x, y in pts]},
         )

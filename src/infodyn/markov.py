@@ -12,6 +12,10 @@ with G the generator, so both time scales share one engine: `trajectory`
 steps stacked row vectors through T, or through R built once (as p + p D
 with D = R - I), and `propagate` collects them into one array.
 
+The stationary law has one solver at every n: power iteration on a lazy
+kernel, certified entry by entry from its observed contraction, which hands
+chains too slow for n sweeps to GTH elimination; neither path subtracts.
+
 Constructors of laws and kernels share one rule, `_normalized`: a sum
 within NORMALIZATION_ATOL of 1 is divided out once, so no row excess
 compounds along a trajectory and evolve results are read-only row views
@@ -57,12 +61,6 @@ __all__ = [
 
 #: Construction-time tolerance on normalization invariants.
 NORMALIZATION_ATOL = 1e-12
-
-#: Largest state space solved by direct elimination; larger chains fall back
-#: to power iteration.
-DIRECT_SOLVE_MAX = 64
-
-POWER_ITERATION_CAP = 200_000
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -259,39 +257,48 @@ def _require_strongly_connected(chain: Chain) -> None:
             raise NonErgodicError("chain is reducible")
 
 
-def stationary_distribution(chain: Chain, tol: float = 1e-12) -> Distribution:
-    """Unique stationary law of an irreducible chain.
+def _gth(chain: Chain) -> np.ndarray:
+    """Grassmann-Taksar-Heyman elimination: off-diagonal entries only, no subtraction.
 
-    Irreducibility, checked first, makes the law unique.  Up to
-    DIRECT_SOLVE_MAX states, a least-squares solve of the balance equations
-    bordered by the normalization row, which drifting rows do not upset.
-    Above, power iteration on the lazy uniformized kernel in both time
-    scales, pi <- pi W + hold pi normalized, hold = 1.05 max(exit) - exit > 0;
-    it is aperiodic, so periodic chains converge too.  Raises NonErgodicError
-    when the chain is reducible, the law is not strictly positive, the
-    iteration does not converge or the residual exceeds tolerance.
+    Kernels and rates share it, and each entry is accurate relative to itself.
+    """
+    a = np.array(chain.matrix)
+    for k in range(chain.n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(chain.n)
+    for k in range(1, chain.n):
+        pi[k] = pi[:k] @ a[:k, k]
+        pi[: k + 1] /= 1.0 + pi[k]  # the prefix sums to 1, so too wide a law underflows
+    return pi / pi.sum()
+
+
+def stationary_distribution(chain: Chain, tol: float = 1e-12) -> Distribution:
+    """Unique stationary law of an irreducible chain, each entry within `tol` relative.
+
+    Irreducibility, checked first, makes the law unique.  Power iteration runs
+    on the lazy uniformized kernel, pi <- pi W + hold pi normalized with
+    hold = 1.05 max(exit) - exit > 0, which is aperiodic.  When a sweep moves
+    each entry by at most c relative, and the one before by c_prev, the rest
+    move it by about rho / (1 - rho) c, rho = c / c_prev: the loop stops when
+    twice that is within tol, and hands the chain to `_gth` when rho predicts
+    more than n sweeps.  Raises NonErgodicError when the chain is reducible,
+    the law is not strictly positive or the residual exceeds tolerance.
     """
     _require_strongly_connected(chain)
-    n = chain.n
-    if n <= DIRECT_SOLVE_MAX:
-        a = np.vstack([_drift(chain, np.eye(n)).T, np.ones((1, n))])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    else:
-        exit_rates = _exit_rates(chain)
-        hold = 1.05 * np.max(exit_rates) - exit_rates
-        pi = np.full(n, 1.0 / n)
-        for _ in range(POWER_ITERATION_CAP):
-            prev = pi
-            pi = pi @ chain.matrix + hold * pi
-            pi /= pi.sum()
-            if np.abs(pi - prev).sum() < tol:
-                break
-        else:
-            raise NonErgodicError(
-                f"power iteration did not converge within {POWER_ITERATION_CAP} sweeps"
-            )
+    exit_rates = _exit_rates(chain)
+    hold = (1.05 * np.max(exit_rates) or 1.0) - exit_rates  # one state: no exit, any hold
+    pi, change, sweeps = np.full(chain.n, 1.0 / chain.n), np.nan, 0
+    while True:  # bound <= budget means 2 rho / (1 - rho) c <= tol; NaN on the first sweep
+        prev, pi, sweeps = pi, pi @ chain.matrix + hold * pi, sweeps + 1
+        pi /= pi.sum()
+        last, change = change, float(np.max(np.abs(pi - prev) / pi))
+        bound, budget = 2.0 * change * change, tol * (last - change)
+        if bound <= budget:
+            break
+        if change >= last or bound * (change / last) ** (chain.n - sweeps) > budget:
+            pi = _gth(chain)
+            break
 
     if np.any(pi <= 0.0):
         raise NonErgodicError("stationary law is not strictly positive")
@@ -368,15 +375,20 @@ def trajectory(
     return walk(rows)
 
 
+def _series(steps: int, shape: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Empty times (steps+1,) and values (steps+1, *shape) for one trajectory."""
+    try:  # numpy refuses at once a size beyond the address space or its dimension limit
+        return np.empty(int(steps) + 1), np.empty((int(steps) + 1, *shape))
+    except (MemoryError, ValueError) as exc:
+        raise BadParamsError(f"{int(steps) + 1:.3g} laws cannot be held: {exc}") from exc
+
+
 def propagate(
     chain: Chain, rows: np.ndarray, steps: int, dt: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The whole `trajectory` as arrays: times (steps+1,), laws (steps+1, *rows.shape)."""
     path = trajectory(chain, rows, steps, dt)
-    try:  # numpy refuses at once a size beyond the address space or its dimension limit
-        times, laws = np.empty(int(steps) + 1), np.empty((int(steps) + 1, *np.shape(rows)))
-    except (MemoryError, ValueError) as exc:
-        raise BadParamsError(f"{int(steps) + 1:.3g} laws cannot be held: {exc}") from exc
+    times, laws = _series(steps, np.shape(rows))
     for k, (t, law) in enumerate(path):
         times[k], laws[k] = t, law
     return times, laws

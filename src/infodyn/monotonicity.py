@@ -34,6 +34,7 @@ from .markov import (
     stationary_distribution,
     trajectory,
     _freeze,
+    _series,
 )
 from .measures import _ratio_functional, _require_arity, _require_finite
 
@@ -150,11 +151,10 @@ def trace_functional(
     if kind == "j_functional":  # law of (X_0, X_t), one n x n step at a time
         path = trajectory(chain, np.diag(init.probs), steps, dt)
         qq = _need_q(q, kind)
-        times, values = [], []
-        for t, joint in path:
+        times, values = _series(steps)
+        for k, (t, joint) in enumerate(path):
             prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-            times.append(t)
-            values.append(_ratio_functional(qq, joint.ravel(), prod.ravel()))
+            times[k], values[k] = t, _ratio_functional(qq, joint.ravel(), prod.ravel())
         return TimeSeries(times, values)
 
     rows = init.probs

@@ -1,6 +1,7 @@
 """Builtin convex functions, perspectives, and the randomized verifier."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from helpers import all_builtins
 from infodyn import (
     BadParamsError,
     ConvexFunction,
+    JointDistribution,
     ParseError,
     SupportMismatchError,
     builtin,
+    generalized_lautum_information,
     parse_q_spec,
     perspective,
     verify_convexity,
@@ -55,9 +58,43 @@ def test_u_log_u_extends_to_zero_by_continuity():
 
 
 def test_other_builtins_reject_zero():
-    for name in ("neg_log", "neg_sqrt", "square", "half_square"):
-        with pytest.raises(SupportMismatchError):
-            builtin(name)(0.0)
+    with pytest.raises(SupportMismatchError):
+        builtin("neg_log")(0.0)
+
+
+_KNOTS = [(0.0, 1.0), (1.0, 0.0), (3.0, 4.0)]
+
+_DECIMAL_Q = {
+    "neg_sqrt": lambda u: -u.sqrt(),
+    "neg_pow": lambda u: -(u ** Decimal("0.3")),
+    "square": lambda u: u * u,
+    "half_square": lambda u: u * u / 2,
+    "piecewise_linear": lambda u: 1 - u if u <= 1 else 2 * u - 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DECIMAL_Q))
+def test_builtins_with_a_finite_q0_take_a_zero_cell(name):
+    """A joint law with a zero cell: its lautum ratio is 0, where Q(0) is finite.
+
+    The oracle evaluates sum P(x)P(y) Q(P(x,y) / (P(x)P(y))) in 40-digit
+    decimal arithmetic on the exact float entries.
+    """
+    params = {"neg_pow": {"s": 0.3}, "piecewise_linear": {"breakpoints": _KNOTS}}.get(name, {})
+    q = builtin(name, **params)
+    table = [[0.5, 0.0], [0.25, 0.25]]
+    value = generalized_lautum_information(q, JointDistribution(table))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        cells = [[Decimal(x) for x in row] for row in table]
+        px = [sum(row) for row in cells]
+        py = [sum(col) for col in zip(*cells)]
+        exact = sum(
+            px[i] * py[j] * _DECIMAL_Q[name](cells[i][j] / (px[i] * py[j]))
+            for i in range(2)
+            for j in range(2)
+        )
+    assert abs(value - float(exact)) <= 1e-15 * max(1.0, abs(float(exact)))
 
 
 def test_recession_slopes():

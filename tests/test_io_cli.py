@@ -328,21 +328,28 @@ def test_cli_drifting_kernel_traces_like_its_normalized_rows(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "chain, flag, value",
+    "chain, flag, value, functional",
     [
-        (RateMatrix([[0.0, 1.0], [1.0, 0.0]]), "--horizon", "inf"),
-        (RateMatrix([[0.0, 1.0], [1.0, 0.0]]), "--horizon", "1e300"),
-        (StochasticMatrix([[0.0, 1.0], [1.0, 0.0]]), "--steps", "100000000000000"),
+        (RateMatrix([[0.0, 1.0], [1.0, 0.0]]), "--horizon", "inf", ["entropy"]),
+        (RateMatrix([[0.0, 1.0], [1.0, 0.0]]), "--horizon", "1e300", ["entropy"]),
+        (StochasticMatrix([[0.0, 1.0], [1.0, 0.0]]), "--steps", "100000000000000", ["entropy"]),
+        (
+            StochasticMatrix([[0.0, 1.0], [1.0, 0.0]]),
+            "--steps",
+            "100000000000000",
+            ["j_functional", "--q", "neg_log"],
+        ),
     ],
-    ids=["inf-horizon", "huge-horizon", "huge-steps"],
+    ids=["inf-horizon", "huge-horizon", "huge-steps", "huge-steps-joint"],
 )
-def test_cli_trajectory_that_cannot_be_held_exits_2(capsys, tmp_path, chain, flag, value):
+def test_cli_trajectory_that_cannot_be_held_exits_2(
+    capsys, tmp_path, chain, flag, value, functional
+):
     """Sizes beyond the address space, which numpy refuses without allocating."""
     path = tmp_path / "chain.json"
     save_chain(chain, path)
-    code = main(
-        ["evolve", "--chain", str(path), "--functional", "entropy", "--init", "delta0", flag, value]
-    )
+    argv = ["evolve", "--chain", str(path), "--functional", *functional, "--init", "delta0"]
+    code = main([*argv, flag, value])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

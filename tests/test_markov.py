@@ -27,6 +27,7 @@ from infodyn import (
     integrate_master_equation,
     stationary_distribution,
 )
+from infodyn import markov
 from infodyn.markov import horizon_steps, propagate
 from infodyn.measures import JointDistribution, embed_markov_triple
 
@@ -200,7 +201,7 @@ def test_stationary_rejects_one_way_flow():
 
 def test_stationary_power_iteration_path_discrete():
     rng = np.random.default_rng(7)
-    chain = random_chain(rng, 70)  # above the direct-solve cutoff
+    chain = random_chain(rng, 70)  # dense, so it mixes fast and never reaches elimination
     pi = stationary_distribution(chain)
     assert np.abs(pi.probs @ chain.matrix - pi.probs).max() < 1e-10
     assert np.all(pi.probs > 0.0)
@@ -208,7 +209,7 @@ def test_stationary_power_iteration_path_discrete():
 
 def test_stationary_power_iteration_path_continuous():
     rng = np.random.default_rng(8)
-    w = rng.random((70, 70))
+    w = rng.random((70, 70))  # dense rates, certified by power iteration like the kernel
     np.fill_diagonal(w, 0.0)
     rates = RateMatrix(w)
     pi = stationary_distribution(rates)
@@ -287,7 +288,7 @@ def test_stationary_of_a_kernel_read_from_decimal_text():
 
 
 def test_stationary_of_a_periodic_reflecting_walk():
-    """Period 2 and above the direct-solve size: the law puts 1/(2(n-1)) on each end."""
+    """Period 2, which the lazy step removes: the law puts 1/(2(n-1)) on each end."""
     n = 71
     t = np.zeros((n, n))
     t[np.arange(n - 1), np.arange(1, n)] = 0.5
@@ -296,6 +297,105 @@ def test_stationary_of_a_periodic_reflecting_walk():
     exact = np.full(n, 1.0 / (n - 1))
     exact[[0, -1]] /= 2.0
     assert _relative_error(stationary_distribution(StochasticMatrix(t)).probs, exact) <= 1e-8
+
+
+def _birth_death_law(up, down):
+    """Exact law from detailed balance, pi(i+1) / pi(i) = up[i] / down[i]."""
+    weights = [Fraction(1)]
+    for u, d in zip(up, down):
+        weights.append(weights[-1] * Fraction(float(u)) / Fraction(float(d)))
+    total = sum(weights)
+    return np.array([float(w / total) for w in weights])
+
+
+@pytest.mark.parametrize(
+    "lam, mu, n",
+    [(1.0, 10.0, 40), (1.0, 10.0, 100), (0.99, 1.0, 200)],
+    ids=["steep-40", "steep-100", "slow-200"],
+)
+def test_stationary_of_a_truncated_queue_is_exact_in_every_entry(lam, mu, n):
+    """Tail entries near 1e-99, or a spectral gap of 2.7e-4: each entry within 1e-12 relative."""
+    chain = build_example_chain("mm1_truncated", lam=lam, mu=mu, n_states=n)
+    exact = _birth_death_law(np.full(n - 1, lam), np.full(n - 1, mu))
+    assert _relative_error(stationary_distribution(chain).probs, exact) <= 1e-12
+
+
+def test_stationary_of_birth_death_chains_at_every_size():
+    """Lazy kernels and rate chains from 16 to 260 states, steep, slow and rising."""
+    for n in (16, 65, 130, 260):
+        i = np.arange(n - 1)
+        for load in (0.1, 0.9, 0.99, 2.0):
+            up, down = np.full(n - 1, load / 4.0), np.full(n - 1, 0.25)
+            w = np.zeros((n, n))
+            w[i, i + 1], w[i + 1, i] = up, down
+            exact = _birth_death_law(up, down)
+            assert _relative_error(stationary_distribution(RateMatrix(w)).probs, exact) <= 1e-12
+            np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+            pi = stationary_distribution(StochasticMatrix(w)).probs
+            assert _relative_error(pi, exact) <= 1e-12
+
+
+@pytest.mark.parametrize("continuous, degree", [(False, 3), (True, 8)], ids=["kernel", "rates"])
+def test_stationary_of_a_sparse_non_reversible_chain_above_64_states(continuous, degree):
+    """A cycle plus `degree` random jumps per state, against the fractions solve.
+
+    Entries are dyadic, so the oracle reads the stored matrix exactly.
+    """
+    n = 70
+    rng = np.random.default_rng(degree)
+    counts = np.zeros((n, n))
+    counts[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    for _ in range(degree):
+        counts[np.arange(n), rng.integers(0, n, n)] += rng.integers(1, 4, n)
+    np.fill_diagonal(counts, 0.0)
+    if continuous:
+        chain = RateMatrix(counts / 4.0)
+    else:
+        t = counts / 64.0
+        np.fill_diagonal(t, 1.0 - t.sum(axis=1))
+        chain = StochasticMatrix(t)
+    exact = _exact_stationary(chain.matrix.tolist())
+    assert _relative_error(stationary_distribution(chain).probs, exact) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "chain", [StochasticMatrix([[1.0]]), RateMatrix([[0.0]])], ids=["kernel", "rates"]
+)
+def test_stationary_of_a_single_state(chain):
+    """No exit rate to uniformize by, and no warning (warnings are errors here)."""
+    assert stationary_distribution(chain).probs.tolist() == [1.0]
+
+
+def _raise_if_called(chain):
+    raise AssertionError(f"a fast-mixing chain with {chain.n} states reached elimination")
+
+
+def test_stationary_of_fast_mixing_dense_kernels_needs_no_elimination(monkeypatch):
+    """Rows w**3 + 0.02 normalized: power iteration certifies them alone.
+
+    With elimination made to raise, each law still comes out within 1e-12
+    of the one elimination gives.
+    """
+    g = np.random.default_rng(12)
+    for n in (96, 256, 512):
+        t = g.random((n, n)) ** 3 + 0.02
+        chain = StochasticMatrix(t / t.sum(axis=1, keepdims=True))
+        eliminated = markov._gth(chain)
+        with monkeypatch.context() as m:
+            m.setattr(markov, "_gth", _raise_if_called)
+            pi = stationary_distribution(chain).probs
+        assert _relative_error(pi, eliminated) <= 1e-12
+
+
+@pytest.mark.parametrize("up, down", [(10.0, 1.0), (1.0, 10.0)], ids=["rising", "falling"])
+def test_stationary_of_a_law_wider_than_the_float_range_raises(up, down):
+    """Entries spanning 1e399 cannot all be held: a typed error, not a wrong law or a warning."""
+    n = 400
+    w = np.zeros((n, n))
+    w[np.arange(n - 1), np.arange(1, n)] = up
+    w[np.arange(1, n), np.arange(n - 1)] = down
+    with pytest.raises(NonErgodicError, match="not strictly positive"):
+        stationary_distribution(RateMatrix(w))
 
 
 def test_stationary_rejects_a_long_path_cut_deep_inside():
