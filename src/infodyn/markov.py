@@ -13,8 +13,8 @@ steps stacked row vectors through T, or through R built once (as p + p D
 with D = R - I), and `propagate` collects them into one array.
 
 The stationary law has one solver at every n: power iteration on a lazy
-kernel, certified entry by entry from its observed contraction, which hands
-chains too slow for n sweeps to GTH elimination; neither path subtracts.
+kernel, stopped on an entrywise bound from its observed contraction, which
+hands chains too slow for n sweeps to GTH elimination; neither subtracts.
 
 Constructors of laws and kernels share one rule, `_normalized`: a sum
 within NORMALIZATION_ATOL of 1 is divided out once, so no row excess
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import count
 from math import factorial
 
 import numpy as np
@@ -258,10 +259,7 @@ def _require_strongly_connected(chain: Chain) -> None:
 
 
 def _gth(chain: Chain) -> np.ndarray:
-    """Grassmann-Taksar-Heyman elimination: off-diagonal entries only, no subtraction.
-
-    Kernels and rates share it, and each entry is accurate relative to itself.
-    """
+    """Grassmann-Taksar-Heyman elimination of the off-diagonal entries, kernel or rates."""
     a = np.array(chain.matrix)
     for k in range(chain.n - 1, 0, -1):
         a[:k, k] /= a[k, :k].sum()
@@ -274,30 +272,43 @@ def _gth(chain: Chain) -> np.ndarray:
 
 
 def stationary_distribution(chain: Chain, tol: float = 1e-12) -> Distribution:
-    """Unique stationary law of an irreducible chain, each entry within `tol` relative.
+    """Unique stationary law of an irreducible chain, each entry to about `tol` relative.
 
     Irreducibility, checked first, makes the law unique.  Power iteration runs
     on the lazy uniformized kernel, pi <- pi W + hold pi normalized with
-    hold = 1.05 max(exit) - exit > 0, which is aperiodic.  When a sweep moves
-    each entry by at most c relative, and the one before by c_prev, the rest
-    move it by about rho / (1 - rho) c, rho = c / c_prev: the loop stops when
-    twice that is within tol, and hands the chain to `_gth` when rho predicts
-    more than n sweeps.  Raises NonErgodicError when the chain is reducible,
+    hold = 1.05 max(exit) - exit > 0, which is aperiodic.  When sweep k moves
+    each entry by at most c_k relative, the rest move it by about
+    rho / (1 - rho) c_k, rho = c_k / c_(k-1).  A slower mode shows as a jump
+    in that ratio, so the loop stops only once the last ratio is within 1.25
+    times the largest of the three before it, c_k <= 2 tol, and twice the
+    tail, with rho the largest of the four, is within tol.  `_gth` takes over
+    when rho predicts more than n sweeps, or c_k is down to rounding, where
+    no rate can be read.  Raises NonErgodicError when the chain is reducible,
     the law is not strictly positive or the residual exceeds tolerance.
     """
     _require_strongly_connected(chain)
     exit_rates = _exit_rates(chain)
     hold = (1.05 * np.max(exit_rates) or 1.0) - exit_rates  # one state: no exit, any hold
-    pi, change, sweeps = np.full(chain.n, 1.0 / chain.n), np.nan, 0
-    while True:  # bound <= budget means 2 rho / (1 - rho) c <= tol; NaN on the first sweep
-        prev, pi, sweeps = pi, pi @ chain.matrix + hold * pi, sweeps + 1
+    pi = np.full(chain.n, 1.0 / chain.n)
+    changes = []
+    for sweeps in count(1):
+        prev = pi
+        pi = pi @ chain.matrix + hold * pi
         pi /= pi.sum()
-        last, change = change, float(np.max(np.abs(pi - prev) / pi))
-        bound, budget = 2.0 * change * change, tol * (last - change)
-        if bound <= budget:
-            break
-        if change >= last or bound * (change / last) ** (chain.n - sweeps) > budget:
+        changes.append(float(np.max(np.abs(pi - prev) / pi)))
+        if not changes[-1] >= 64.0 * np.finfo(float).eps:  # rounding, or NaN: no rate to read
             pi = _gth(chain)
+            break
+        if sweeps < 5:
+            continue
+        ratios = np.divide(changes[-4:], changes[-5:-1])
+        rho = min(ratios.max(), 1.0)
+        change = changes[-1]
+        settled = ratios[-1] <= 1.25 * ratios[:-1].max()  # a jump: a slower mode shows
+        if settled and change <= 2.0 * tol and 2.0 * rho * change <= tol * (1.0 - rho):
+            break
+        if not 2.0 * rho * change * rho ** max(chain.n - sweeps, 0) <= tol * (1.0 - rho):
+            pi = _gth(chain)  # more than n sweeps to go, or no contraction
             break
 
     if np.any(pi <= 0.0):

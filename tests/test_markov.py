@@ -209,7 +209,7 @@ def test_stationary_power_iteration_path_discrete():
 
 def test_stationary_power_iteration_path_continuous():
     rng = np.random.default_rng(8)
-    w = rng.random((70, 70))  # dense rates, certified by power iteration like the kernel
+    w = rng.random((70, 70))  # dense rates, solved by power iteration like the kernel
     np.fill_diagonal(w, 0.0)
     rates = RateMatrix(w)
     pi = stationary_distribution(rates)
@@ -358,6 +358,47 @@ def test_stationary_of_a_sparse_non_reversible_chain_above_64_states(continuous,
     assert _relative_error(stationary_distribution(chain).probs, exact) <= 1e-12
 
 
+@pytest.mark.parametrize("continuous", [False, True], ids=["kernel", "rates"])
+def test_stationary_of_a_nearly_decomposable_chain_with_a_mode_the_lazy_step_removes(continuous):
+    """Two blocks joined at rates near 1e-6, each with a mode the lazy step maps to 0.
+
+    Two sweeps see only the within-block move die; the block masses, 1/2 at
+    the start and 0.50005 in the law, still have to move.
+    """
+    block = np.array([[0.0, 1.0], [0.05, 0.0]] if continuous else [[0.45, 0.55], [0.5, 0.5]])
+    w = np.zeros((4, 4))
+    for rows, other, a in ((slice(0, 2), slice(2, 4), 1e-6), (slice(2, 4), slice(0, 2), 1.0002e-6)):
+        w[rows, rows] = block if continuous else (1.0 - a) * block
+        w[rows, other] = a / 2.0
+    chain = RateMatrix(w) if continuous else StochasticMatrix(w)
+    exact = _exact_stationary(chain.matrix.tolist())
+    assert _relative_error(stationary_distribution(chain).probs, exact) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stationary_of_nearly_decomposable_kernels_with_hidden_slow_modes(seed):
+    """2-state blocks, most with a mode the lazy step removes, joined at 1e-10 to 1e-2.
+
+    Block masses start near their law, so the slow mode moves the iterate
+    little; every law is still within 1e-12 of the fractions solve.
+    """
+    g = np.random.default_rng(seed)
+    for _ in range(60):
+        k = int(g.integers(2, 5))
+        t = np.zeros((2 * k, 2 * k))
+        a = 10.0 ** g.uniform(-10, -2)
+        for b in range(k):
+            x = g.uniform(0.0, 0.9)
+            block = [[x, 1.0 - x], [x + 0.05, 0.95 - x]] if g.random() < 0.7 else [[0.5, 0.5]] * 2
+            ab = a * (1.0 + 10.0 ** g.uniform(-12, -1) * g.choice([-1.0, 1.0]))
+            others = np.arange(2 * k) // 2 != b
+            t[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = (1.0 - ab) * np.array(block)
+            t[2 * b : 2 * b + 2, others] = ab / (2 * k - 2)
+        chain = StochasticMatrix(t / t.sum(axis=1, keepdims=True))
+        exact = _exact_stationary(chain.matrix.tolist())
+        assert _relative_error(stationary_distribution(chain).probs, exact) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "chain", [StochasticMatrix([[1.0]]), RateMatrix([[0.0]])], ids=["kernel", "rates"]
 )
@@ -371,7 +412,7 @@ def _raise_if_called(chain):
 
 
 def test_stationary_of_fast_mixing_dense_kernels_needs_no_elimination(monkeypatch):
-    """Rows w**3 + 0.02 normalized: power iteration certifies them alone.
+    """Rows w**3 + 0.02 normalized: power iteration solves them alone.
 
     With elimination made to raise, each law still comes out within 1e-12
     of the one elimination gives.
