@@ -32,7 +32,7 @@ from .errors import (
     OutOfValidityRangeError,
     PsiAboveOneError,
 )
-from .markov import Distribution, _finite_nonnegative, _freeze
+from .markov import Distribution, _freeze
 from .measures import JointDistribution
 
 __all__ = [
@@ -98,7 +98,7 @@ class EpsilonChannel:
         e = np.asarray(self.eps, dtype=float)
         if e.ndim != 1 or e.size < 3:
             raise BadParamsError("eps must be a vector with at least 3 entries")
-        if not _finite_nonnegative(e) or np.any(e > 1.0):
+        if not np.all((e >= 0.0) & (e <= 1.0)):  # NaN fails both, so it goes too
             raise BadParamsError("crossover probabilities must lie in [0, 1]")
         object.__setattr__(self, "eps", _freeze(e))
 

@@ -9,6 +9,7 @@ domain errors.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -59,18 +60,22 @@ def _field(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
+def _numeric(doc: dict, key: str, path) -> np.ndarray:
+    """The one numeric reader: field `key` as a float array, else ParseError."""
+    try:
+        return np.asarray(_field(doc, key, path), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # text, ragged rows, huge ints
+        raise ParseError(f"{path}: {key} is not numeric") from exc
+
+
 def load_chain(path) -> StochasticMatrix | RateMatrix:
     """Read a chain file: {"kind", "n", "matrix", optional "labels"}."""
     doc = _read_json(path)
     kind = _field(doc, "kind", path)
     n = _field(doc, "n", path)
-    matrix = _field(doc, "matrix", path)
+    arr = _numeric(doc, "matrix", path)
     if kind not in ("discrete", "continuous"):
         raise ParseError(f"{path}: kind must be 'discrete' or 'continuous', got {kind!r}")
-    try:
-        arr = np.asarray(matrix, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: matrix is not numeric") from exc
     if arr.shape != (n, n):
         raise ParseError(f"{path}: matrix shape {arr.shape} does not match n={n}")
     return RateMatrix(arr) if kind == "continuous" else StochasticMatrix(arr)
@@ -87,7 +92,7 @@ def save_chain(chain: StochasticMatrix | RateMatrix, path) -> None:
 
 def load_distribution(path) -> Distribution:
     doc = _read_json(path)
-    return Distribution(np.asarray(_field(doc, "probs", path), dtype=float))
+    return Distribution(_numeric(doc, "probs", path))
 
 
 def save_distribution(dist: Distribution, path) -> None:
@@ -100,7 +105,7 @@ def load_joint(path) -> JointDistribution:
     doc = _read_json(path)
     nx = _field(doc, "nx", path)
     ny = _field(doc, "ny", path)
-    table = np.asarray(_field(doc, "table", path), dtype=float)
+    table = _numeric(doc, "table", path)
     if table.shape != (nx, ny):
         raise ParseError(f"{path}: table shape {table.shape} does not match ({nx}, {ny})")
     return JointDistribution(table)
@@ -109,20 +114,22 @@ def load_joint(path) -> JointDistribution:
 def load_pair_measures(path) -> list[PairMeasure]:
     """Read the "measures" array of a joint file as grid measures."""
     doc = _read_json(path)
-    raw = _field(doc, "measures", path)
-    arr = np.asarray(raw, dtype=float)
+    arr = _numeric(doc, "measures", path)
     if arr.ndim != 3:
         raise ParseError(f"{path}: measures must be a list of 2-d tables")
     return [PairMeasure(m) for m in arr]
 
 
 def load_family(path) -> MeasureFamily:
-    """Read a measure family file: {"measures": (k+1) x n rows}."""
+    """Read a measure family file: {"measures": (k+1) x n rows, optional "require_positive"}."""
     doc = _read_json(path)
-    arr = np.asarray(_field(doc, "measures", path), dtype=float)
+    arr = _numeric(doc, "measures", path)
     if arr.ndim != 2:
         raise ParseError(f"{path}: family measures must be a 2-d array")
-    return MeasureFamily(arr, require_positive=bool(doc.get("require_positive", True)))
+    positive = doc.get("require_positive", True)
+    if not isinstance(positive, bool):
+        raise ParseError(f"{path}: require_positive must be true or false")
+    return MeasureFamily(arr, require_positive=positive)
 
 
 def _round_floats(obj):
@@ -166,12 +173,7 @@ def report_csv_text(report: BoundReport) -> str:
 
 
 def verdict_to_dict(v: MonotonicityVerdict) -> dict:
-    return {
-        "direction": v.direction,
-        "holds": v.holds,
-        "max_violation": v.max_violation,
-        "argmax_step": v.argmax_step,
-    }
+    return dataclasses.asdict(v)
 
 
 def series_to_dict(series: TimeSeries) -> dict:

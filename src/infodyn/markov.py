@@ -71,7 +71,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _finite_nonnegative(a: np.ndarray, axis=None):
-    """The entry check shared by every constructor: finite and nonnegative.
+    """The entry check of the unbounded constructors: finite and nonnegative.
 
     NaN fails both comparisons, so it is rejected along with +-inf.
     """
@@ -147,7 +147,7 @@ class StochasticMatrix:
         t = np.asarray(self.matrix, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
             raise BadParamsError("transition matrix must be square and nonempty")
-        if not _finite_nonnegative(t) or np.any(t > 1.0):
+        if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails both, so it goes too
             raise BadParamsError("transition probabilities must lie in [0, 1]")
         object.__setattr__(self, "matrix", _normalized(t, 1, "rows {rows} do not sum to 1"))
 

@@ -1,8 +1,8 @@
 """Entropies, f-divergences, and generalized information functionals.
 
-The generalized functionals are ratio functionals, all evaluated by the
-kernel `_ratio_functional`: a reference measure weights a convex function
-of ratios of companion measures to that reference,
+The generalized functionals and all nine trace kinds are ratio functionals,
+evaluated by the kernel `_ratio_functional`: a reference measure weights a
+convex function of ratios of companion measures to that reference,
 
     sum_cell  ref(cell) * Q(m_1(cell)/ref(cell), ..., m_k(cell)/ref(cell)).
 
@@ -13,7 +13,9 @@ trace kinds but v_functional take the recession-slope tail: that mass
 times lim_{u->inf} Q(u)/u when the limit is finite, else
 SupportMismatchError.  The multi-measure `zakai_ziv_functional`,
 `measure_family_functional` and v_functional trace are strict: such mass
-raises SupportMismatchError, even at arity 1.
+raises SupportMismatchError, even at arity 1.  At arity 1, a companion
+that vanishes where the reference has mass makes the value infinite under a
+Q that refuses 0 (``neg_log``): the SupportMismatchError says so.
 
 `_blend_values` serves both mixed-measure functions: one kernel call per
 stack of letter tuples.  `embed_markov_triple` builds a block-diagonal
@@ -69,6 +71,7 @@ MAX_ENUMERATED_LETTERS = 3
 # temporaries and keeps each below glibc's 128 KiB mmap threshold: larger ones
 # are mapped afresh and page-faulted per block (2x slower at |X| = |Y| = 24).
 _BLEND_BLOCK_CELLS = 1 << 14
+_INFINITE = "value is infinite: the second law vanishes where the weighting law has mass"
 
 
 def _table(a, ndim: int) -> np.ndarray:
@@ -147,14 +150,7 @@ def _require_arity(q: ConvexFunction, arity: int) -> None:
         raise ArityMismatchError(f"{q.name} has arity {q.arity}, expected {arity}")
 
 
-def _require_finite(values):
-    """Finite inputs whose ratios overflow give no meaningful value: refuse it."""
-    if not (isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
-        raise BadParamsError("functional value is not finite (a ratio overflows)")
-    return values
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflow raises at _require_finite
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises at the finiteness test
 def _ratio_functional(
     q: ConvexFunction, reference: np.ndarray, companion: np.ndarray, strict: bool = False
 ):
@@ -164,20 +160,28 @@ def _ratio_functional(
     default `companion` has the cells' shape and a null reference cell takes
     the recession-slope tail.  `strict` is the multi-measure form:
     `companion` stacks the q.arity measures on a leading axis, and mass on a
-    null reference cell raises.  So does a value that is not finite.
+    null reference cell raises.  So does a value that is not finite: finite
+    inputs whose ratios overflow give no meaningful value.
     """
     evaluate = q._evaluate if strict else q.batch
     pos = reference > 0.0
-    if pos.all():
-        total = np.sum(reference * evaluate(companion / reference), axis=-1)
-    else:
-        extinct = np.where(pos, 0.0, companion)
-        if (strict or q.recession_slope is None) and np.any(extinct > 0.0):
-            raise SupportMismatchError(f"companion mass on a null reference cell ({q.name})")
-        values = evaluate(np.where(pos, companion / np.where(pos, reference, 1.0), 1.0))
-        tail = 0.0 if strict else (q.recession_slope or 0.0) * extinct.sum(axis=-1)
-        total = np.sum(np.where(pos, reference * values, 0.0), axis=-1) + tail
-    return _require_finite(total)
+    try:
+        if pos.all():
+            total = np.sum(reference * evaluate(companion / reference), axis=-1)
+        else:
+            extinct = np.where(pos, 0.0, companion)
+            if (strict or q.recession_slope is None) and np.any(extinct > 0.0):
+                raise SupportMismatchError(f"companion mass on a null reference cell ({q.name})")
+            values = evaluate(np.where(pos, companion / np.where(pos, reference, 1.0), 1.0))
+            tail = 0.0 if strict else (q.recession_slope or 0.0) * extinct.sum(axis=-1)
+            total = np.sum(np.where(pos, reference * values, 0.0), axis=-1) + tail
+    except SupportMismatchError:  # a Q that refuses 0 is infinite there
+        if strict or q.accepts_zero or not np.any(pos & (companion == 0.0)):
+            raise
+        raise SupportMismatchError(f"{_INFINITE} ({q.name} is infinite at 0)") from None
+    if not (isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
+        raise BadParamsError("functional value is not finite (a ratio overflows)")
+    return total
 
 
 def f_divergence(q: ConvexFunction, p1: Distribution, p2: Distribution) -> float:

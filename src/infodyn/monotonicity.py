@@ -1,12 +1,13 @@
 """Traces of information functionals along a chain, and their verdicts.
 
 Each trace kind maps a trajectory to a scalar series indexed by step
-count, or by time for rate matrices.  The point of the module is the
-empirical side of the second-law statements: entropy of a doubly
-stochastic chain never falls, divergence to the stationary law never
-rises, and the generalized functionals drift one way only.  `verdict`
-turns a series into a pass/fail record with the largest violation and
-where it happened.
+count, or by time for rate matrices.  All nine are sums ref * Q(comp/ref)
+from the one ratio kernel `measures._ratio_functional`, and every input
+is checked before the first step.  The series are the empirical side of
+the second-law statements: entropy of a doubly stochastic chain never
+falls, divergence to the stationary law never rises, and the generalized
+functionals drift one way only.  `verdict` turns a series into a
+pass/fail record with the largest violation and where it happened.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .markov import (
     _freeze,
     _series,
 )
-from .measures import _ratio_functional, _require_arity, _require_finite
+from .measures import _ratio_functional, _require_arity
 
 __all__ = [
     "TimeSeries",
@@ -66,6 +67,7 @@ SYMMETRY_ATOL = 1e-12
 _U_LOG_U = builtin("u_log_u")
 _NEG_LOG = builtin("neg_log")
 _NEG_SQRT = builtin("neg_sqrt")
+_HALF_SQUARE = builtin("half_square")
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,11 @@ class MonotonicityVerdict:
     argmax_step: int
 
 
-def _need(inits: Mapping, key: str, kind: str):
+def _need(inits: Mapping, key: str, kind: str, cls: type = Distribution):
     if not inits or key not in inits:
         raise MissingInitError(f"trace kind {kind!r} needs inits[{key!r}]")
+    if not isinstance(inits[key], cls):
+        raise BadParamsError(f"inits[{key!r}] must be a {cls.__name__}")
     return inits[key]
 
 
@@ -124,7 +128,7 @@ def trace_functional(
     all distribution-based kinds, additionally ``init2`` for ``kl_pair``,
     and ``family`` (a MeasureFamily) for ``v_functional``.  Kinds that
     compare against the stationary law compute it on the fly, so the chain
-    must be ergodic for those.
+    must be ergodic for those.  Every input is checked before the first step.
 
     A RateMatrix needs the step `dt`; its trajectory is the RK4 solution of
     the master equation at t = 0, dt, ..., steps * dt.  Kinds are evaluated
@@ -137,31 +141,26 @@ def trace_functional(
         raise BadParamsError(f"unknown trace kind {kind!r}")
 
     if kind == "v_functional":
-        family = _need(inits, "family", kind)
-        if not isinstance(family, MeasureFamily):
-            raise BadParamsError("inits['family'] must be a MeasureFamily")
-        qq = _need_q(q, kind, family.k)
+        family = _need(inits, "family", kind, MeasureFamily)
+        q = _need_q(q, kind, family.k)
         times, laws = propagate(chain, family.measures, steps, dt)
         companions = np.moveaxis(laws[:, 1:], 1, 0)
-        return TimeSeries(times, _ratio_functional(qq, laws[:, 0], companions, strict=True))
+        return TimeSeries(times, _ratio_functional(q, laws[:, 0], companions, strict=True))
 
     init = _need(inits, "init", kind)
-    if not isinstance(init, Distribution):
-        raise BadParamsError("inits['init'] must be a Distribution")
+    if kind in ("u_functional", "j_functional"):
+        q = _need_q(q, kind)
     if kind == "j_functional":  # law of (X_0, X_t), one n x n step at a time
         path = trajectory(chain, np.diag(init.probs), steps, dt)
-        qq = _need_q(q, kind)
         times, values = _series(steps)
         for k, (t, joint) in enumerate(path):
             prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-            times[k], values[k] = t, _ratio_functional(qq, joint.ravel(), prod.ravel())
+            times[k], values[k] = t, _ratio_functional(q, joint.ravel(), prod.ravel())
         return TimeSeries(times, values)
 
     rows = init.probs
     if kind == "kl_pair":
         other = _need(inits, "init2", kind)
-        if not isinstance(other, Distribution):
-            raise BadParamsError("inits['init2'] must be a Distribution")
         if other.n != init.n:
             raise DimensionMismatchError(f"init has {init.n} states, init2 has {other.n}")
         rows = np.stack([init.probs, other.probs])
@@ -178,10 +177,9 @@ def trace_functional(
         elif kind == "kl_from_stationary":
             values = _ratio_functional(_NEG_LOG, pi, laws)
         elif kind == "u_functional":
-            values = _ratio_functional(_need_q(q, kind), pi, laws)
-        elif kind == "circuit_energy":
-            with np.errstate(over="ignore"):
-                values = _require_finite(0.5 * np.sum(laws**2 / pi, axis=-1))
+            values = _ratio_functional(q, pi, laws)
+        elif kind == "circuit_energy":  # (1/2) sum p^2 / pi = sum pi Q(p / pi), Q(u) = u^2 / 2
+            values = _ratio_functional(_HALF_SQUARE, pi, laws)
         else:  # bhattacharyya
             values = -_ratio_functional(_NEG_SQRT, laws, pi)
 

@@ -12,11 +12,16 @@ from helpers import all_builtins
 from infodyn import (
     BadParamsError,
     ConvexFunction,
+    Distribution,
     JointDistribution,
+    MeasureFamily,
     ParseError,
     SupportMismatchError,
     builtin,
+    f_divergence,
     generalized_lautum_information,
+    generalized_mutual_information,
+    measure_family_functional,
     parse_q_spec,
     perspective,
     verify_convexity,
@@ -73,6 +78,9 @@ _DECIMAL_Q = {
 }
 
 
+_PARAMS = {"neg_pow": {"s": 0.3}, "piecewise_linear": {"breakpoints": _KNOTS}}
+
+
 @pytest.mark.parametrize("name", sorted(_DECIMAL_Q))
 def test_builtins_with_a_finite_q0_take_a_zero_cell(name):
     """A joint law with a zero cell: its lautum ratio is 0, where Q(0) is finite.
@@ -80,8 +88,7 @@ def test_builtins_with_a_finite_q0_take_a_zero_cell(name):
     The oracle evaluates sum P(x)P(y) Q(P(x,y) / (P(x)P(y))) in 40-digit
     decimal arithmetic on the exact float entries.
     """
-    params = {"neg_pow": {"s": 0.3}, "piecewise_linear": {"breakpoints": _KNOTS}}.get(name, {})
-    q = builtin(name, **params)
+    q = builtin(name, **_PARAMS.get(name, {}))
     table = [[0.5, 0.0], [0.25, 0.25]]
     value = generalized_lautum_information(q, JointDistribution(table))
     with localcontext() as ctx:
@@ -95,6 +102,63 @@ def test_builtins_with_a_finite_q0_take_a_zero_cell(name):
             for j in range(2)
         )
     assert abs(value - float(exact)) <= 1e-15 * max(1.0, abs(float(exact)))
+
+
+def _decimal_sum(terms) -> float:
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(sum(terms(), Decimal(0)))
+
+
+@pytest.mark.parametrize("name", sorted({**_DECIMAL_Q, "u_log_u": None}))
+def test_perspective_takes_a_zero_companion_under_a_positive_scale(name):
+    """sum mu0 Q~(mu1/mu0, mu2/mu0) = sum mu1 Q(mu2/mu1), with mu2 = 0 where mu1 > 0.
+
+    That cell contributes mu1 Q(0), finite for every builtin but neg_log; the
+    oracle is a 40-digit decimal sum on the exact float entries.
+    """
+    exact_q = _DECIMAL_Q.get(name, lambda u: u * u.ln() if u else u)
+    measures = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.125], [0.0, 0.375, 0.5]]
+    family = MeasureFamily(measures)
+    tilde = perspective(builtin(name, **_PARAMS.get(name, {})))
+    value = measure_family_functional(tilde, family)
+    _, scale, comp = ([Decimal(x) for x in row] for row in measures)
+    exact = _decimal_sum(lambda: (v * exact_q(c / v) for v, c in zip(scale, comp)))
+    assert abs(value - exact) <= 1e-15 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize(
+    "q, exact_q",
+    [
+        (builtin("neg_log"), lambda u: -u.ln()),
+        (builtin("neg_sqrt"), _DECIMAL_Q["neg_sqrt"]),
+        (builtin("neg_pow", s=0.3), _DECIMAL_Q["neg_pow"]),
+        (builtin("neg_pow", s=1.0), lambda u: -u),
+        (builtin("piecewise_linear", breakpoints=_KNOTS), _DECIMAL_Q["piecewise_linear"]),
+    ],
+    ids=["neg_log", "neg_sqrt", "neg_pow_0.3", "neg_pow_1", "piecewise_linear"],
+)
+def test_recession_tail_matches_a_decimal_oracle(q, exact_q):
+    """Companion mass on a null reference cell takes the recession slope.
+
+    The oracle is sum_{ref>0} ref Q(comp/ref) + slope * sum_{ref=0} comp in
+    40-digit decimal, for f_divergence and generalized_mutual_information.
+    """
+    p1, p2 = [0.5, 0.25, 0.25, 0.0], [0.125, 0.25, 0.125, 0.5]
+    table = [[0.5, 0.0], [0.25, 0.25]]
+    joint = JointDistribution(table)
+    product = np.outer(joint.marginal_x(), joint.marginal_y()).ravel()
+    slope = Decimal(q.recession_slope)
+    for value, reference, companion in (
+        (f_divergence(q, Distribution(p1), Distribution(p2)), p1, p2),
+        (generalized_mutual_information(q, joint), np.ravel(table), product),
+    ):
+        pairs = [(Decimal(r), Decimal(c)) for r, c in zip(reference, companion)]
+        assert any(r == 0 < c for r, c in pairs)
+        exact = _decimal_sum(
+            lambda: (r * exact_q(c / r) if r else slope * c for r, c in pairs)
+        )
+        assert abs(value - exact) <= 1e-15 * max(1.0, abs(exact)), q.name
 
 
 def test_recession_slopes():

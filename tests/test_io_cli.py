@@ -355,6 +355,128 @@ def test_cli_trajectory_that_cannot_be_held_exits_2(
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_cli_reports_a_missing_q_before_the_trajectory_size(capsys, mod3_file):
+    code = main([
+        "evolve", "--chain", mod3_file, "--functional", "u_functional",
+        "--init", "delta0", "--steps", "100000000000000",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: trace kind 'u_functional' needs a convex function\n"
+
+
+INFINITE_NEG_LOG = (
+    "error: value is infinite: the second law vanishes where the weighting law has mass"
+    " (neg_log is infinite at 0)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--functional", "kl_from_stationary", "--init", "delta0"],
+        ["evolve", "--functional", "kl_pair", "--init", "uniform", "--init2", "delta1"],
+        ["evolve", "--functional", "u_functional", "--q", "neg_log", "--init", "delta0"],
+        ["measure", "--op", "fdiv", "--q", "neg_log", "--p1", "{law}", "--p2", "{zero}"],
+    ],
+    ids=["kl_from_stationary", "kl_pair", "u_functional", "fdiv"],
+)
+def test_cli_says_when_a_divergence_is_infinite(capsys, tmp_path, mod3_file, argv):
+    """Q = -log at a zero companion cell under a positive weight: D = +inf, exit 2."""
+    paths = {"law": tmp_path / "law.json", "zero": tmp_path / "zero.json"}
+    save_distribution(Distribution([0.25, 0.25, 0.5]), paths["law"])
+    save_distribution(Distribution([0.5, 0.5, 0.0]), paths["zero"])
+    if argv[0] == "evolve":
+        argv = [*argv, "--chain", mod3_file]
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == INFINITE_NEG_LOG
+
+
+_WELL_FORMED = {
+    "chain": {"kind": "discrete", "n": 2, "matrix": [[0.5, 0.5], [0.25, 0.75]]},
+    "law": {"probs": [0.5, 0.5]},
+    "joint": {"nx": 2, "ny": 2, "table": [[0.25, 0.25], [0.25, 0.25]]},
+}
+
+
+@pytest.mark.parametrize(
+    "loader, doc, argv",
+    [
+        (
+            load_distribution,
+            {"probs": ["x", 1]},
+            ["measure", "--op", "fdiv", "--q", "neg_log", "--p1", "{law}", "--p2", "{bad}"],
+        ),
+        (load_distribution, {"probs": ["x", 1]}, ["check", "--chain", "{chain}", "--pi", "{bad}"]),
+        (
+            load_distribution,
+            {"probs": [10**400, 1]},
+            ["evolve", "--chain", "{chain}", "--functional", "entropy", "--init", "{bad}"],
+        ),
+        (
+            load_chain,
+            {"kind": "discrete", "n": 2, "matrix": [[1.0], [0.5, 0.5]]},
+            ["check", "--chain", "{bad}"],
+        ),
+        (
+            load_joint,
+            {"nx": 2, "ny": 2, "table": [[0.5, 0.5], [0.0]]},
+            ["measure", "--op", "mi", "--q", "neg_log", "--joint", "{bad}"],
+        ),
+        (
+            load_pair_measures,
+            {"measures": [[[0.25, "a"], [0.25, 0.25]]]},
+            ["measure", "--op", "zz", "--q", "neg_log", "--joint", "{joint}", "--measures", "{bad}"],
+        ),
+        (
+            load_family,
+            {"measures": [[0.5, 0.5], ["b", 0.5]]},
+            ["measure", "--op", "v", "--q", "u_log_u", "--family", "{bad}"],
+        ),
+        (
+            load_family,
+            {"measures": [[0.5, 0.5], [0.5, 0.5]], "require_positive": "no"},
+            [
+                "evolve", "--chain", "{chain}", "--functional", "v_functional",
+                "--q", "u_log_u", "--family", "{bad}",
+            ],
+        ),
+    ],
+    ids=[
+        "probs-text-fdiv", "probs-text-check", "probs-huge-int-evolve", "matrix-ragged",
+        "table-ragged", "measures-text", "family-text", "require-positive-text",
+    ],
+)
+def test_a_malformed_numeric_field_is_a_parse_error(capsys, tmp_path, loader, doc, argv):
+    """Library: ParseError.  CLI: exit 1, one error line, no output, no traceback."""
+    paths = {}
+    for key, content in {"bad": doc, **_WELL_FORMED}.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(content))
+    with pytest.raises(ParseError):
+        loader(paths["bad"])
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_a_scalar_probs_field_stays_a_domain_error(capsys, tmp_path):
+    """It parses as a number; the Distribution constructor refuses it (exit 2)."""
+    good, scalar = tmp_path / "good.json", tmp_path / "scalar.json"
+    save_distribution(Distribution([0.5, 0.5]), good)
+    scalar.write_text('{"probs": 0.5}')
+    with pytest.raises(BadParamsError):
+        load_distribution(scalar)
+    code, out = _run(
+        capsys, "measure", "--op", "fdiv", "--q", "neg_log", "--p1", str(good), "--p2", str(scalar),
+    )
+    assert code == 2 and out == ""
+
+
 def test_cli_check_detailed_balance(capsys, tmp_path):
     path = tmp_path / "mm1.json"
     save_chain(build_example_chain("mm1_truncated", n_states=4, lam=1.0, mu=2.0), path)

@@ -12,6 +12,7 @@ from infodyn import (
     BadParamsError,
     DimensionMismatchError,
     Distribution,
+    EpsilonChannel,
     MeasureFamily,
     NonErgodicError,
     NotStationaryError,
@@ -78,6 +79,11 @@ def test_constructors_divide_out_a_sum_within_tolerance():
         assert np.array_equal(a.measures, b.measures)
 
 
+# Each entry must fail the one [0, 1] test of StochasticMatrix and EpsilonChannel.
+OUT_OF_UNIT = (1.0 + 5e-13, np.nan, np.inf, -np.inf, -0.1)
+OUT_OF_UNIT_IDS = ("above_one", "nan", "inf", "neg_inf", "negative")
+
+
 @pytest.mark.parametrize(
     "build, error",
     [
@@ -89,8 +95,23 @@ def test_constructors_divide_out_a_sum_within_tolerance():
         ),
         (lambda: JointDistribution([[0.5, 0.4], [0.0, 0.0]]), "joint sums to 0.9, expected 1"),
         (lambda: embed_markov_triple(np.full((2, 2, 2), 0.1)), "joint sums to 0.8, expected 1"),
+        *(
+            (
+                lambda x=x: StochasticMatrix([[x, 1.0], [0.5, 0.5]]),
+                "transition probabilities must lie in [0, 1]",
+            )
+            for x in OUT_OF_UNIT[1:]
+        ),
+        *(
+            (lambda x=x: EpsilonChannel([0.1, 0.2, x]), "crossover probabilities must lie in [0, 1]")
+            for x in OUT_OF_UNIT
+        ),
     ],
-    ids=["distribution", "rows", "entry", "joint", "triple"],
+    ids=[
+        "distribution", "rows", "entry", "joint", "triple",
+        *(f"entry_{name}" for name in OUT_OF_UNIT_IDS[1:]),
+        *(f"crossover_{name}" for name in OUT_OF_UNIT_IDS),
+    ],
 )
 def test_constructors_keep_their_sum_errors(build, error):
     with pytest.raises(BadParamsError) as raised:

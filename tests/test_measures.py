@@ -321,6 +321,29 @@ def test_strict_kernel_keeps_its_support_errors():
         trace_functional("v_functional", chain, q=tilde, inits={"family": zero_scale}, steps=3)
 
 
+def test_an_infinite_value_says_so_on_the_kernel_path_only():
+    """Q = -log at a zero companion under a positive weight: the value is +inf.
+
+    The arity-1 kernel says so; a direct call, the strict form and a Q with
+    a finite Q(0) keep their own messages.
+    """
+    neg_log = builtin("neg_log")
+    infinite = "value is infinite: the second law vanishes where the weighting law has mass"
+    p1, p2 = Distribution([0.25, 0.25, 0.5]), Distribution([0.5, 0.5, 0.0])
+    with pytest.raises(SupportMismatchError, match=infinite):
+        f_divergence(neg_log, p1, p2)
+    with pytest.raises(SupportMismatchError, match=infinite):
+        generalized_lautum_information(neg_log, JointDistribution([[0.5, 0.0], [0.25, 0.25]]))
+    with pytest.raises(SupportMismatchError) as raised:
+        neg_log(0.0)
+    assert str(raised.value) == "neg_log needs strictly positive arguments"
+    family = MeasureFamily([p1.probs, p2.probs])
+    with pytest.raises(SupportMismatchError) as raised:
+        measure_family_functional(neg_log, family)
+    assert str(raised.value) == "neg_log needs strictly positive arguments"
+    assert f_divergence(builtin("square"), p1, p2) == 2.0  # sum p2^2 / p1, Q(0) = 0
+
+
 def test_family_functional_constant_ratio_and_divergence_form():
     fam = MeasureFamily([[0.2, 0.5, 0.3], [0.6, 1.5, 0.9]])  # companion = 3 * reference
     q = builtin("neg_sqrt")

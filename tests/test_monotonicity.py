@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -26,9 +27,13 @@ from infodyn import (
     h_theorem_rate,
     integrate_master_equation,
     shannon_entropy,
+    stationary_distribution,
     trace_functional,
     verdict,
 )
+from infodyn.markov import propagate
+
+EPS = np.finfo(float).eps
 
 
 # -------------------------------------------------------------- TimeSeries
@@ -136,8 +141,9 @@ def test_circuit_energy_is_the_half_square_functional():
 
 
 def test_circuit_energy_refuses_an_overflowing_value(monkeypatch):
-    """A stationary entry of 1e-310 overflows law**2 / pi in the closed form
-    and in the half-square functional alike: both raise, neither warns."""
+    """A stationary entry of 1e-310 overflows the ratio law / pi squared in
+    the kernel, for the circuit energy and the half-square functional alike:
+    both raise, neither warns."""
     import infodyn.monotonicity as mono
 
     monkeypatch.setattr(mono, "stationary_distribution", lambda chain: Distribution([1.0, 1e-310]))
@@ -258,6 +264,73 @@ def test_trace_argument_validation():
         trace_functional("entropy", rates, inits={"init": init}, dt=1.0)
     with pytest.raises(ArityMismatchError):
         trace_functional("j_functional", rates, q=multi_convex(2), inits={"init": init}, dt=0.1)
+
+
+@pytest.mark.parametrize("continuous", [False, True], ids=["kernel", "rates"])
+def test_circuit_energy_matches_a_decimal_oracle(continuous):
+    """(1/2) sum p^2 / pi in 40-digit decimal on the exact float laws and pi.
+
+    Every term is positive, so the kernel's value must lie within
+    (n + 4) eps of the oracle relative to it.
+    """
+    rng = np.random.default_rng(44)
+    for n in (2, 5, 17, 64):
+        if continuous:
+            w = rng.random((n, n))
+            np.fill_diagonal(w, 0.0)
+            chain, dt = RateMatrix(w), 0.5 / w.sum(axis=1).max()
+        else:
+            chain, dt = random_chain(rng, n), None
+        init = random_distribution(rng, n)
+        energy = trace_functional("circuit_energy", chain, inits={"init": init}, steps=12, dt=dt)
+        _, laws = propagate(chain, init.probs, 12, dt)
+        pi = [Decimal(x) for x in stationary_distribution(chain).probs]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for value, law in zip(energy.values, laws):
+                exact = sum(Decimal(p) * Decimal(p) / m for p, m in zip(law, pi)) / 2
+                assert abs(Decimal(value) - exact) <= Decimal((n + 4) * EPS) * exact, (n, value)
+
+
+def _huge_steps_trace(kind, **kw):
+    """A trace whose 10^14 laws could not be held: only a check before the first step returns."""
+    chain = build_example_chain("mod_k_walk", K=3)
+    return trace_functional(kind, chain, steps=10**14, **kw)
+
+
+@pytest.mark.parametrize("kind", ["u_functional", "j_functional"])
+def test_q_is_checked_before_the_first_step(kind):
+    init = {"init": Distribution([1.0, 0.0, 0.0])}
+    with pytest.raises(MissingInitError, match=f"trace kind '{kind}' needs a convex function"):
+        _huge_steps_trace(kind, inits=init)
+    with pytest.raises(ArityMismatchError, match="has arity 2, expected 1"):
+        _huge_steps_trace(kind, q=multi_convex(2), inits=init)
+    reducible = StochasticMatrix([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MissingInitError):
+        trace_functional(kind, reducible, inits={"init": Distribution([0.5, 0.5])})
+
+
+@pytest.mark.parametrize(
+    "kind, inits, error",
+    [
+        ("entropy", {"init": [1.0, 0.0, 0.0]}, "inits['init'] must be a Distribution"),
+        (
+            "kl_pair",
+            {"init": Distribution([1.0, 0.0, 0.0]), "init2": [0.0, 1.0, 0.0]},
+            "inits['init2'] must be a Distribution",
+        ),
+        (
+            "v_functional",
+            {"family": Distribution([1.0, 0.0, 0.0])},
+            "inits['family'] must be a MeasureFamily",
+        ),
+    ],
+    ids=["init", "init2", "family"],
+)
+def test_init_types_are_checked_before_the_first_step(kind, inits, error):
+    with pytest.raises(BadParamsError) as raised:
+        _huge_steps_trace(kind, q=builtin("neg_log"), inits=inits)
+    assert str(raised.value) == error
 
 
 # ---------------------------------------------------------- entropy rate
