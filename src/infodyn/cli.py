@@ -36,7 +36,10 @@ from .monotonicity import TRACE_KINDS, trace_functional
 
 __all__ = ["ScenarioConfig", "run_scenario", "emit_report", "main"]
 
-MEASURE_OPS = ("fdiv", "mi", "lautum", "zz", "v")
+# Each measure op and the options it cannot run without.
+MEASURE_OPS = {
+    "fdiv": ("p1", "p2"), "mi": ("joint",), "lautum": ("joint",), "zz": ("joint",), "v": ("family",),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,11 +70,7 @@ def _parse_init(token: str, n: int) -> Distribution:
 def _run_evolve(cfg: ScenarioConfig):
     opts = cfg.options
     chain = diskio.load_chain(opts["chain"])
-    inits = {}
-    if opts.get("init") is not None:
-        inits["init"] = _parse_init(opts["init"], chain.n)
-    if opts.get("init2") is not None:
-        inits["init2"] = _parse_init(opts["init2"], chain.n)
+    inits = {k: _parse_init(opts[k], chain.n) for k in ("init", "init2") if opts.get(k) is not None}
     if opts.get("family") is not None:
         inits["family"] = diskio.load_family(opts["family"])
     q = parse_q_spec(opts["q"]) if opts.get("q") else None
@@ -97,16 +96,17 @@ def _run_measure(cfg: ScenarioConfig):
     opts = cfg.options
     op = opts["op"]
     q = parse_q_spec(opts["q"])
+    if op not in MEASURE_OPS:
+        raise BadParamsError(f"unknown measure op {op!r}")
+    for key in MEASURE_OPS[op]:
+        if opts.get(key) is None:
+            raise MissingInitError(f"measure {op} needs --{key}")
     if op == "fdiv":
-        for key in ("p1", "p2"):
-            if opts.get(key) is None:
-                raise MissingInitError(f"measure fdiv needs --{key}")
-        value = f_divergence(
-            q, diskio.load_distribution(opts["p1"]), diskio.load_distribution(opts["p2"])
-        )
-    elif op in ("mi", "lautum", "zz"):
-        if opts.get("joint") is None:
-            raise MissingInitError(f"measure {op} needs --joint")
+        p1, p2 = (diskio.load_distribution(opts[key]) for key in ("p1", "p2"))
+        value = f_divergence(q, p1, p2)
+    elif op == "v":
+        value = measure_family_functional(q, diskio.load_family(opts["family"]))
+    else:
         joint = diskio.load_joint(opts["joint"])
         if op == "mi":
             value = generalized_mutual_information(q, joint)
@@ -115,12 +115,6 @@ def _run_measure(cfg: ScenarioConfig):
         else:
             source = opts.get("measures") or opts["joint"]
             value = zakai_ziv_functional(q, joint, diskio.load_pair_measures(source))
-    elif op == "v":
-        if opts.get("family") is None:
-            raise MissingInitError("measure v needs --family")
-        value = measure_family_functional(q, diskio.load_family(opts["family"]))
-    else:
-        raise BadParamsError(f"unknown measure op {op!r}")
     return "json", {"op": op, "q": opts["q"], "value": float(value)}
 
 
@@ -151,18 +145,14 @@ def run_scenario(cfg: ScenarioConfig):
 
 def emit_report(tag: str, payload, out: str | None, fmt: str | None) -> str:
     """Render a scenario result and write it to `out` (or stdout)."""
-    if tag == "trace":
-        fmt = fmt or "csv"
-        if fmt == "csv":
-            text = diskio.trace_csv_text(payload)
-        else:
-            text = diskio.write_json(diskio.series_to_dict(payload))
+    if tag == "trace" and fmt != "json":  # traces default to CSV, reports to JSON
+        text = diskio.trace_csv_text(payload)
+    elif tag == "trace":
+        text = diskio.write_json(diskio.series_to_dict(payload))
+    elif tag == "report" and fmt == "csv":
+        text = diskio.report_csv_text(payload)
     elif tag == "report":
-        fmt = fmt or "json"
-        if fmt == "csv":
-            text = diskio.report_csv_text(payload)
-        else:
-            text = diskio.write_json(report_to_dict(payload))
+        text = diskio.write_json(report_to_dict(payload))
     else:
         text = diskio.write_json(payload)
     if out is not None:
@@ -224,18 +214,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
-    options = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("kind", "tol", "out", "fmt")
-    }
-    cfg = ScenarioConfig(
-        kind=args.kind,
-        options=options,
-        tol=args.tol,
-        out=args.out,
-        fmt=args.fmt,
-    )
+    options = {k: v for k, v in vars(args).items() if k not in ("kind", "tol", "out", "fmt")}
+    cfg = ScenarioConfig(kind=args.kind, options=options, tol=args.tol, out=args.out, fmt=args.fmt)
     try:
         tag, payload = run_scenario(cfg)
         emit_report(tag, payload, cfg.out, cfg.fmt)

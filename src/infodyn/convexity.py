@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadParamsError, ParseError, SupportMismatchError
+from .errors import ArityMismatchError, BadParamsError, ParseError, SupportMismatchError
 
 __all__ = [
     "ConvexFunction",
@@ -76,6 +76,8 @@ class ConvexFunction:
 
     def _evaluate(self, u: np.ndarray) -> np.ndarray:
         """Q at every cell of the float array `u` of shape (arity, *cells)."""
+        if u.shape[:1] != (self.arity,):
+            raise ArityMismatchError(f"{self.name} takes {self.arity} leading-axis arguments")
         self._check_domain(u)
         cells = u[0] if self.arity == 1 else u
         try:

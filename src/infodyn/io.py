@@ -60,11 +60,22 @@ def _field(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
+def _numbers_only(value) -> bool:
+    """A JSON number or lists of them; not a string, null or bool (type(True) is bool)."""
+    return all(map(_numbers_only, value)) if isinstance(value, list) else type(value) in (int, float)
+
+
+def _number_field(doc: dict, key: str, path):
+    if not _numbers_only(value := _field(doc, key, path)):
+        raise ParseError(f"{path}: {key} is not numeric")
+    return value
+
+
 def _numeric(doc: dict, key: str, path) -> np.ndarray:
     """The one numeric reader: field `key` as a float array, else ParseError."""
     try:
-        return np.asarray(_field(doc, key, path), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # text, ragged rows, huge ints
+        return np.asarray(_number_field(doc, key, path), dtype=float)
+    except (ValueError, OverflowError) as exc:  # ragged rows, huge ints
         raise ParseError(f"{path}: {key} is not numeric") from exc
 
 
@@ -72,7 +83,7 @@ def load_chain(path) -> StochasticMatrix | RateMatrix:
     """Read a chain file: {"kind", "n", "matrix", optional "labels"}."""
     doc = _read_json(path)
     kind = _field(doc, "kind", path)
-    n = _field(doc, "n", path)
+    n = _number_field(doc, "n", path)
     arr = _numeric(doc, "matrix", path)
     if kind not in ("discrete", "continuous"):
         raise ParseError(f"{path}: kind must be 'discrete' or 'continuous', got {kind!r}")
@@ -103,8 +114,8 @@ def save_distribution(dist: Distribution, path) -> None:
 def load_joint(path) -> JointDistribution:
     """Read a joint law file: {"nx", "ny", "table", optional "measures"}."""
     doc = _read_json(path)
-    nx = _field(doc, "nx", path)
-    ny = _field(doc, "ny", path)
+    nx = _number_field(doc, "nx", path)
+    ny = _number_field(doc, "ny", path)
     table = _numeric(doc, "table", path)
     if table.shape != (nx, ny):
         raise ParseError(f"{path}: table shape {table.shape} does not match ({nx}, {ny})")

@@ -6,16 +6,17 @@ convex function of ratios of companion measures to that reference,
 
     sum_cell  ref(cell) * Q(m_1(cell)/ref(cell), ..., m_k(cell)/ref(cell)).
 
-Cells where the reference vanishes contribute zero when every companion
-vanishes there too.  Companion mass on such a cell is ruled per function.
-`f_divergence`, the mutual, lautum and mixed-measure informations and all
-trace kinds but v_functional take the recession-slope tail: that mass
-times lim_{u->inf} Q(u)/u when the limit is finite, else
-SupportMismatchError.  The multi-measure `zakai_ziv_functional`,
-`measure_family_functional` and v_functional trace are strict: such mass
-raises SupportMismatchError, even at arity 1.  At arity 1, a companion
-that vanishes where the reference has mass makes the value infinite under a
-Q that refuses 0 (``neg_log``): the SupportMismatchError says so.
+Q's arguments sit on a leading axis of length q.arity; the other axes of
+the companions broadcast against the reference.  Cells where the
+reference vanishes contribute zero when every companion vanishes there
+too.  Companion mass on such a cell follows one rule read off Q: at
+arity 1 the cell adds that mass times the recession slope
+lim_{u->inf} Q(u)/u when the slope is finite, and the value is infinite
+(SupportMismatchError says so) when Q grows faster than linearly; above
+arity 1 no scalar slope exists and SupportMismatchError names the cell.
+At arity 1, a companion that vanishes where the reference has mass makes
+the value infinite under a Q that refuses 0 (``neg_log``): the
+SupportMismatchError says so too.
 
 `_blend_values` serves both mixed-measure functions: one kernel call per
 stack of letter tuples.  `embed_markov_triple` builds a block-diagonal
@@ -72,6 +73,7 @@ MAX_ENUMERATED_LETTERS = 3
 # are mapped afresh and page-faulted per block (2x slower at |X| = |Y| = 24).
 _BLEND_BLOCK_CELLS = 1 << 14
 _INFINITE = "value is infinite: the second law vanishes where the weighting law has mass"
+_SUPERLINEAR = "value is infinite: the second law has mass where the weighting law vanishes"
 
 
 def _table(a, ndim: int) -> np.ndarray:
@@ -151,32 +153,32 @@ def _require_arity(q: ConvexFunction, arity: int) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises at the finiteness test
-def _ratio_functional(
-    q: ConvexFunction, reference: np.ndarray, companion: np.ndarray, strict: bool = False
-):
-    """sum ref * Q(companion / ref) over the last axis, with the null-cell rules above.
+def _ratio_functional(q: ConvexFunction, reference: np.ndarray, companions: np.ndarray):
+    """sum ref * Q(companions / ref) over the last axis, with the null-cell rule above.
 
-    Leading axes broadcast, so one call evaluates a whole trajectory.  By
-    default `companion` has the cells' shape and a null reference cell takes
-    the recession-slope tail.  `strict` is the multi-measure form:
-    `companion` stacks the q.arity measures on a leading axis, and mass on a
-    null reference cell raises.  So does a value that is not finite: finite
-    inputs whose ratios overflow give no meaningful value.
+    `companions` holds Q's arguments on its leading axis, of length q.arity;
+    its other axes broadcast against `reference`, so one call evaluates a
+    whole trajectory.  A value that is not finite raises: finite inputs
+    whose ratios overflow give no meaningful value.
     """
-    evaluate = q._evaluate if strict else q.batch
-    pos = reference > 0.0
+    ref = reference[None]  # aligns with the arguments' axis
+    pos = ref > 0.0
+    whole = pos.all()
+    if not whole:
+        extinct = np.where(pos, 0.0, companions)
+        if q.arity > 1 and np.any(extinct > 0.0):
+            raise SupportMismatchError(f"companion mass on a null reference cell ({q.name})")
+        if q.recession_slope is None and np.any(extinct > 0.0):
+            raise SupportMismatchError(f"{_SUPERLINEAR} ({q.name} grows faster than linearly)")
     try:
-        if pos.all():
-            total = np.sum(reference * evaluate(companion / reference), axis=-1)
+        if whole:
+            total = np.sum(reference * q._evaluate(companions / ref), axis=-1)
         else:
-            extinct = np.where(pos, 0.0, companion)
-            if (strict or q.recession_slope is None) and np.any(extinct > 0.0):
-                raise SupportMismatchError(f"companion mass on a null reference cell ({q.name})")
-            values = evaluate(np.where(pos, companion / np.where(pos, reference, 1.0), 1.0))
-            tail = 0.0 if strict else (q.recession_slope or 0.0) * extinct.sum(axis=-1)
-            total = np.sum(np.where(pos, reference * values, 0.0), axis=-1) + tail
+            values = q._evaluate(np.where(pos, companions / np.where(pos, ref, 1.0), 1.0))
+            tail = (q.recession_slope or 0.0) * extinct[0].sum(axis=-1)  # zero above arity 1
+            total = np.sum(np.where(pos[0], reference * values, 0.0), axis=-1) + tail
     except SupportMismatchError:  # a Q that refuses 0 is infinite there
-        if strict or q.accepts_zero or not np.any(pos & (companion == 0.0)):
+        if q.arity > 1 or q.accepts_zero or not np.any(pos & (companions == 0.0)):
             raise
         raise SupportMismatchError(f"{_INFINITE} ({q.name} is infinite at 0)") from None
     if not (isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
@@ -194,7 +196,7 @@ def f_divergence(q: ConvexFunction, p1: Distribution, p2: Distribution) -> float
     _require_arity(q, 1)
     if p1.n != p2.n:
         raise DimensionMismatchError(f"laws have {p1.n} and {p2.n} states")
-    return float(_ratio_functional(q, p1.probs, p2.probs))
+    return float(_ratio_functional(q, p1.probs, p2.probs[None]))
 
 
 def generalized_mutual_information(q: ConvexFunction, joint: JointDistribution) -> float:
@@ -205,7 +207,7 @@ def generalized_mutual_information(q: ConvexFunction, joint: JointDistribution) 
     """
     _require_arity(q, 1)
     prod = np.outer(joint.marginal_x(), joint.marginal_y())
-    return float(_ratio_functional(q, joint.table.ravel(), prod.ravel()))
+    return float(_ratio_functional(q, joint.table.ravel(), prod.ravel()[None]))
 
 
 def generalized_lautum_information(q: ConvexFunction, joint: JointDistribution) -> float:
@@ -217,7 +219,7 @@ def generalized_lautum_information(q: ConvexFunction, joint: JointDistribution) 
     """
     _require_arity(q, 1)
     prod = np.outer(joint.marginal_x(), joint.marginal_y())
-    return float(_ratio_functional(q, prod.ravel(), joint.table.ravel()))
+    return float(_ratio_functional(q, prod.ravel(), joint.table.ravel()[None]))
 
 
 def zakai_ziv_functional(
@@ -226,8 +228,8 @@ def zakai_ziv_functional(
     """Multi-measure information functional weighted by the joint law.
 
     sum_{x,y} P(x,y) Q(m_1(x,y)/P(x,y), ..., m_k(x,y)/P(x,y)) for a jointly
-    convex Q of k arguments.  Strict on support: every measure must vanish
-    wherever the joint does.
+    convex Q of k arguments.  Measure mass where the joint vanishes follows
+    the null-cell rule of the module docstring.
     """
     if len(measures) != q.arity:
         raise ArityMismatchError(f"{len(measures)} measures for arity-{q.arity} function")
@@ -235,7 +237,7 @@ def zakai_ziv_functional(
         if m.shape != joint.table.shape:
             raise DimensionMismatchError("measure grid does not match the joint law")
     stack = np.stack([m.table.ravel() for m in measures])
-    return float(_ratio_functional(q, joint.table.ravel(), stack, strict=True))
+    return float(_ratio_functional(q, joint.table.ravel(), stack))
 
 
 def measure_family_functional(q: ConvexFunction, family: MeasureFamily) -> float:
@@ -246,7 +248,7 @@ def measure_family_functional(q: ConvexFunction, family: MeasureFamily) -> float
     """
     if family.k != q.arity:
         raise ArityMismatchError(f"family has k={family.k}, function arity {q.arity}")
-    return float(_ratio_functional(q, family.reference, family.measures[1:], strict=True))
+    return float(_ratio_functional(q, family.reference, family.measures[1:]))
 
 
 def _coeff_vector(coeffs, expected: int, label: str) -> np.ndarray:
@@ -285,7 +287,7 @@ def _blend_values(
     reference, companion = blend(s), blend(t)
     if np.any(companion < 0.0):
         raise SupportMismatchError("t blend goes negative, outside the function domain")
-    return _ratio_functional(q, reference, companion)
+    return _ratio_functional(q, reference, companion[None])
 
 
 def mixed_measure_information(

@@ -145,7 +145,7 @@ def trace_functional(
         q = _need_q(q, kind, family.k)
         times, laws = propagate(chain, family.measures, steps, dt)
         companions = np.moveaxis(laws[:, 1:], 1, 0)
-        return TimeSeries(times, _ratio_functional(q, laws[:, 0], companions, strict=True))
+        return TimeSeries(times, _ratio_functional(q, laws[:, 0], companions))
 
     init = _need(inits, "init", kind)
     if kind in ("u_functional", "j_functional"):
@@ -155,7 +155,7 @@ def trace_functional(
         times, values = _series(steps)
         for k, (t, joint) in enumerate(path):
             prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-            times[k], values[k] = t, _ratio_functional(q, joint.ravel(), prod.ravel())
+            times[k], values[k] = t, _ratio_functional(q, joint.ravel(), prod.ravel()[None])
         return TimeSeries(times, values)
 
     rows = init.probs
@@ -167,21 +167,21 @@ def trace_functional(
     times, laws = propagate(chain, rows, steps, dt)
 
     if kind == "entropy":
-        values = -_ratio_functional(_U_LOG_U, np.ones(chain.n), laws)
+        values = -_ratio_functional(_U_LOG_U, np.ones(chain.n), laws[None])
     elif kind == "kl_pair":
-        values = _ratio_functional(_NEG_LOG, laws[:, 0], laws[:, 1])
+        values = _ratio_functional(_NEG_LOG, laws[:, 0], laws[None, :, 1])
     else:
         pi = stationary_distribution(chain).probs
         if kind == "kl_to_stationary":
-            values = _ratio_functional(_NEG_LOG, laws, pi)
+            values = _ratio_functional(_NEG_LOG, laws, pi[None])
         elif kind == "kl_from_stationary":
-            values = _ratio_functional(_NEG_LOG, pi, laws)
+            values = _ratio_functional(_NEG_LOG, pi, laws[None])
         elif kind == "u_functional":
-            values = _ratio_functional(q, pi, laws)
+            values = _ratio_functional(q, pi, laws[None])
         elif kind == "circuit_energy":  # (1/2) sum p^2 / pi = sum pi Q(p / pi), Q(u) = u^2 / 2
-            values = _ratio_functional(_HALF_SQUARE, pi, laws)
+            values = _ratio_functional(_HALF_SQUARE, pi, laws[None])
         else:  # bhattacharyya
-            values = -_ratio_functional(_NEG_SQRT, laws, pi)
+            values = -_ratio_functional(_NEG_SQRT, laws, pi[None])
 
     return TimeSeries(times, values)
 

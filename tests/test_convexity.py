@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import all_builtins
 from infodyn import (
+    ArityMismatchError,
     BadParamsError,
     ConvexFunction,
     Distribution,
@@ -222,6 +223,15 @@ def test_arity_enforcement():
     assert two([1.0, 2.0]) == 5.0
     with pytest.raises(BadParamsError):
         two.batch(np.array([1.0, 2.0]))
+
+
+def test_evaluate_refuses_a_leading_axis_of_another_length():
+    """An unstacked array would put Q's argument axis on the cells: refused, not misread."""
+    with pytest.raises(ArityMismatchError):
+        builtin("neg_sqrt")._evaluate(np.array([0.25, 1.0]))
+    with pytest.raises(ArityMismatchError):
+        perspective(builtin("neg_log"))._evaluate(np.ones((3, 4)))
+    assert builtin("neg_sqrt")._evaluate(np.array([[0.25, 1.0]])).tolist() == [-0.5, -1.0]
 
 
 # ------------------------------------------------------------ perspective

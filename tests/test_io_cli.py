@@ -394,6 +394,30 @@ def test_cli_says_when_a_divergence_is_infinite(capsys, tmp_path, mod3_file, arg
     assert captured.err == INFINITE_NEG_LOG
 
 
+@pytest.mark.parametrize("q", ["u_log_u", "square", "half_square"])
+def test_cli_j_functional_on_an_unreachable_pair_says_the_value_is_infinite(capsys, tmp_path, q):
+    """On a 3-cycle the law of (X_0, X_t) vanishes off a permutation, the marginals' product does not.
+
+    A Q growing faster than linearly is then +inf there (exit 2, one line);
+    neg_sqrt, with recession slope 0, still traces.
+    """
+    cycle = tmp_path / "cycle.json"
+    save_chain(StochasticMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), cycle)
+    argv = ["evolve", "--chain", str(cycle), "--functional", "j_functional",
+            "--init", "uniform", "--steps", "3"]
+    code = main([*argv, "--q", q])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: value is infinite: the second law has mass where the weighting law vanishes"
+        f" ({q} grows faster than linearly)\n"
+    )
+    code, out = _run(capsys, *argv, "--q", "neg_sqrt")
+    assert code == 0
+    # three cells of weight 1/3 at ratio 1/3, and the tail adds 0: -sqrt(1/3)
+    assert out == "t,value\n" + "".join(f"{t},-0.57735026919\n" for t in range(4))
+
+
 _WELL_FORMED = {
     "chain": {"kind": "discrete", "n": 2, "matrix": [[0.5, 0.5], [0.25, 0.75]]},
     "law": {"probs": [0.5, 0.5]},
@@ -443,10 +467,39 @@ _WELL_FORMED = {
                 "--q", "u_log_u", "--family", "{bad}",
             ],
         ),
+        (
+            load_distribution,
+            {"probs": ["0.25", "0.75"]},
+            ["measure", "--op", "fdiv", "--q", "neg_log", "--p1", "{law}", "--p2", "{bad}"],
+        ),
+        (load_distribution, {"probs": [None, 1.0]}, ["check", "--chain", "{chain}", "--pi", "{bad}"]),
+        (
+            load_distribution,
+            {"probs": [True, 0.0]},
+            ["evolve", "--chain", "{chain}", "--functional", "entropy", "--init", "{bad}"],
+        ),
+        (
+            load_chain,
+            {"kind": "discrete", "n": 2, "matrix": [[1.0, False], [0.5, 0.5]]},
+            ["check", "--chain", "{bad}"],
+        ),
+        (load_chain, {"kind": "discrete", "n": True, "matrix": [[1.0]]}, ["check", "--chain", "{bad}"]),
+        (
+            load_joint,
+            {"nx": 2, "ny": 2, "table": [[0.5, None], [0.25, 0.25]]},
+            ["measure", "--op", "mi", "--q", "neg_log", "--joint", "{bad}"],
+        ),
+        (
+            load_family,
+            {"measures": [[0.5, 0.5], [True, 0.0]], "require_positive": False},
+            ["measure", "--op", "v", "--q", "neg_sqrt", "--family", "{bad}"],
+        ),
     ],
     ids=[
         "probs-text-fdiv", "probs-text-check", "probs-huge-int-evolve", "matrix-ragged",
         "table-ragged", "measures-text", "family-text", "require-positive-text",
+        "probs-number-text-fdiv", "probs-null-check", "probs-true-evolve", "matrix-false",
+        "n-true", "table-null", "family-true",
     ],
 )
 def test_a_malformed_numeric_field_is_a_parse_error(capsys, tmp_path, loader, doc, argv):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from itertools import product
 
 import numpy as np
@@ -242,7 +243,8 @@ def test_zz_functional_matches_double_loop_oracle():
         assert value == pytest.approx(direct, abs=1e-12)
 
 
-def test_zz_functional_arity_and_support_checks():
+def test_zz_functional_arity_and_null_cell_rule():
+    """Mass on a null joint cell: the recession tail at arity 1, an error above it."""
     rng = np.random.default_rng(7)
     joint = random_joint(rng, 3, 3)
     q = builtin("neg_log")
@@ -250,8 +252,12 @@ def test_zz_functional_arity_and_support_checks():
         zakai_ziv_functional(q, joint, [PairMeasure(joint.table)] * 2)
     sparse = JointDistribution([[0.5, 0.0], [0.25, 0.25]])
     heavy = PairMeasure([[0.1, 0.2], [0.1, 0.1]])
-    with pytest.raises(SupportMismatchError):
-        zakai_ziv_functional(q, sparse, [heavy])
+    direct = math.fsum([-0.5 * math.log(0.2), -0.25 * math.log(0.4), -0.25 * math.log(0.4)])
+    assert zakai_ziv_functional(q, sparse, [heavy]) == pytest.approx(direct, rel=1e-15)
+    with pytest.raises(SupportMismatchError, match="u_log_u grows faster than linearly"):
+        zakai_ziv_functional(builtin("u_log_u"), sparse, [heavy])
+    with pytest.raises(SupportMismatchError, match="companion mass on a null reference cell"):
+        zakai_ziv_functional(perspective(q), sparse, [heavy, heavy])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -289,43 +295,82 @@ def test_ratio_kernel_matches_per_cell_calls():
             laws[:, :, : n // 4] = 0.0  # null reference cells carrying no mass
             if q.name == "u_log_u":
                 laws[:, 1, n // 4 : n // 2] = 0.0  # zero companions, Q(0) = 0
-            values = _ratio_functional(q, laws[:, 0], np.moveaxis(laws[:, 1:], 1, 0), strict=True)
+            values = _ratio_functional(q, laws[:, 0], np.moveaxis(laws[:, 1:], 1, 0))
             assert values.shape == (6,)
             for row, value in zip(laws, values):
                 exact, scale = _per_cell_sum(q, row[0], row[1:])
                 assert abs(value - exact) <= 1e-14 * scale, q.name
-            if k == 1:
-                loose = _ratio_functional(q, laws[:, 0], laws[:, 1])
-                assert np.array_equal(loose, values), q.name
 
 
-def test_strict_kernel_keeps_its_support_errors():
-    """Multi-measure forms refuse mass on a null reference cell, even at arity 1."""
+_NULL_CELL_QS = [
+    builtin("neg_log"),
+    builtin("neg_sqrt"),
+    builtin("neg_pow", s=0.3),
+    builtin("neg_pow", s=1.0),
+    builtin("piecewise_linear", breakpoints=[(0.5, 1.0), (1.0, 0.0), (2.0, 1.0)]),
+]
+
+
+def _decimal_q(q, u: Decimal) -> Decimal:
+    if q.name == "neg_log":
+        return -u.ln()
+    if q.name == "piecewise_linear":
+        (x0, y0), (x1, y1), (x2, y2) = [(Decimal(x), Decimal(y)) for x, y in q.params["breakpoints"]]
+        if u < x1:
+            return y0 + (y1 - y0) / (x1 - x0) * (u - x0)
+        return y1 + (y2 - y1) / (x2 - x1) * (u - x1)
+    return -(u ** Decimal(q.params["s"])) if u else Decimal(0)
+
+
+def _decimal_ratio_sum(q, reference, companion) -> Decimal:
+    """sum ref * Q(comp / ref) plus the recession tail, to 40 digits from the float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        total = Decimal(0)
+        for r, c in zip(map(Decimal, reference.tolist()), map(Decimal, companion.tolist())):
+            total += r * _decimal_q(q, c / r) if r else c * Decimal(q.recession_slope)
+        return total
+
+
+def test_null_reference_cells_take_the_recession_tail_at_arity_one():
+    """The embedded triple of a sparse joint: its family value is the mutual information.
+
+    The product of marginals has mass on the joint's null cell, so each
+    value carries the tail mass * lim Q(u)/u.  The family functional, the
+    mutual information and the v_functional trace give one value, which a
+    40-digit oracle confirms, and one Markov step cannot raise it.
+    """
     p_uv = np.array([[0.0, 0.5], [0.25, 0.25]])
     channel = np.array([[0.9, 0.1], [0.3, 0.7]])
-    kernel, fam_now, _ = embed_markov_triple(p_uv[:, :, None] * channel[None, :, :])
+    kernel, fam_now, fam_next = embed_markov_triple(p_uv[:, :, None] * channel[None, :, :])
     null = fam_now.reference == 0.0
     assert np.any(fam_now.measures[1][null] > 0.0)
-    q = builtin("neg_log")  # finite recession slope: the loose rule would accept this
-    with pytest.raises(SupportMismatchError):
-        measure_family_functional(q, fam_now)
-    with pytest.raises(SupportMismatchError):
-        trace_functional("v_functional", kernel, q=q, inits={"family": fam_now}, steps=3)
+    for q in _NULL_CELL_QS:
+        value = measure_family_functional(q, fam_now)
+        assert value == generalized_mutual_information(q, JointDistribution(p_uv)), q.name
+        exact = _decimal_ratio_sum(q, fam_now.reference, fam_now.measures[1])
+        assert abs(Decimal(value) - exact) <= Decimal(1e-15), q.name
+        # 1e-15 covers rounding: Q(u) = -u gives -1 on both sides
+        assert measure_family_functional(q, fam_next) <= value + 1e-15, q.name
+        trace = trace_functional("v_functional", kernel, q=q, inits={"family": fam_now}, steps=3)
+        assert trace.values[0] == value, q.name
+    with pytest.raises(SupportMismatchError, match="square grows faster than linearly"):
+        measure_family_functional(builtin("square"), fam_now)
 
     zero_scale = MeasureFamily([[0.5, 0.5], [0.0, 1.0], [0.3, 0.7]])
     tilde = perspective(builtin("neg_log"))
-    with pytest.raises(SupportMismatchError):
+    with pytest.raises(SupportMismatchError, match="perspective scale must be strictly positive"):
         measure_family_functional(tilde, zero_scale)
     chain = StochasticMatrix([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(SupportMismatchError):
+    with pytest.raises(SupportMismatchError, match="perspective scale must be strictly positive"):
         trace_functional("v_functional", chain, q=tilde, inits={"family": zero_scale}, steps=3)
 
 
-def test_an_infinite_value_says_so_on_the_kernel_path_only():
+def test_an_infinite_value_says_so_at_arity_one():
     """Q = -log at a zero companion under a positive weight: the value is +inf.
 
-    The arity-1 kernel says so; a direct call, the strict form and a Q with
-    a finite Q(0) keep their own messages.
+    Every arity-1 functional says so, the family functional too; a direct
+    call, a perspective and a Q with a finite Q(0) keep their own messages.
     """
     neg_log = builtin("neg_log")
     infinite = "value is infinite: the second law vanishes where the weighting law has mass"
@@ -334,12 +379,14 @@ def test_an_infinite_value_says_so_on_the_kernel_path_only():
         f_divergence(neg_log, p1, p2)
     with pytest.raises(SupportMismatchError, match=infinite):
         generalized_lautum_information(neg_log, JointDistribution([[0.5, 0.0], [0.25, 0.25]]))
+    with pytest.raises(SupportMismatchError, match=infinite):
+        measure_family_functional(neg_log, MeasureFamily([p1.probs, p2.probs]))
     with pytest.raises(SupportMismatchError) as raised:
         neg_log(0.0)
     assert str(raised.value) == "neg_log needs strictly positive arguments"
-    family = MeasureFamily([p1.probs, p2.probs])
+    family = MeasureFamily([p1.probs, p1.probs, p2.probs])
     with pytest.raises(SupportMismatchError) as raised:
-        measure_family_functional(neg_log, family)
+        measure_family_functional(perspective(neg_log), family)
     assert str(raised.value) == "neg_log needs strictly positive arguments"
     assert f_divergence(builtin("square"), p1, p2) == 2.0  # sum p2^2 / p1, Q(0) = 0
 
@@ -496,7 +543,7 @@ def _expected_per_tuple(q, joint, s, t, m):
         rows = cond[list(letters)]
         reference = s[0] * joint.table + px[:, None] * (s[1:] @ rows)[None, :]
         companion = t[0] * joint.table + px[:, None] * (t[1:] @ rows)[None, :]
-        total += weight * _ratio_functional(q, reference.ravel(), companion.ravel())
+        total += weight * _ratio_functional(q, reference.ravel(), companion.ravel()[None])
     return total
 
 
