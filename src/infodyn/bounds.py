@@ -16,12 +16,20 @@ smaller root is a distortion lower bound for every s.  psi(0) recovers
 (K/L - 1)^2; the s -> infinity limit gives 2 (1 - L/K), which is strictly
 better throughout 1 < K/L < 2.  The classical route (binary entropy
 matching log(K/L)) lands between the two endpoints.
+
+Both sides are I_Q of the simple extension (Zakai & Ziv): P(u,v) + s P(u) P(v)
+against P(u) P(v).  The two oracles evaluate it through
+`measures.mixed_measure_information`, the source side with the channel's own
+output law P(v) (1/K for a constant ε).  The perspective of Q, -sqrt(ab), is
+symmetric, so they give P(u) P(v) the reference slot: the ratio
+s + P(u,v) / (P(u) P(v)) then does not overflow at tiny s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,8 +40,9 @@ from .errors import (
     OutOfValidityRangeError,
     PsiAboveOneError,
 )
+from .convexity import builtin
 from .markov import Distribution, _freeze
-from .measures import JointDistribution
+from .measures import JointDistribution, mixed_measure_information, simple_extension_coefficients
 
 __all__ = [
     "ExampleConfig",
@@ -62,6 +71,7 @@ BISECTION_TOL = 1e-12
 DEFAULT_GRID_START = 1e-3
 DEFAULT_GRID_STOP = 1e6
 DEFAULT_GRID_POINTS = 64
+_Q = builtin("neg_sqrt")  # Q(z) = -sqrt(z) on both sides of the worked model
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,7 @@ class ExampleConfig:
     L: int
 
     def __post_init__(self) -> None:
-        if int(self.K) != self.K or int(self.L) != self.L:
+        if not all(isinstance(n, Real) and math.isfinite(n) and int(n) == n for n in (self.K, self.L)):
             raise BadParamsError("alphabet sizes must be integers")
         object.__setattr__(self, "K", int(self.K))
         object.__setattr__(self, "L", int(self.L))
@@ -124,6 +134,8 @@ class GridSpec:
     log_spaced: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.points, Integral):
+            raise BadGridError("grid point count must be an integer")
         if self.points < 1:
             raise BadGridError("grid needs at least one point")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -200,14 +212,19 @@ def psi_exact(s: float, config: ExampleConfig) -> float:
 
     but evaluated through D = (sqrt(s) + sqrt(s+L))^2 expanded as
     2s + L + 2 sqrt(s (s+L)), which removes the catastrophic cancellation
-    that the displayed form suffers for large s.
+    that the displayed form suffers for large s.  Near either end of the
+    float range, where that expansion overflows, D stays a square.
     """
     k, l = config.K, config.L
     _check_sk(s, k, l)
+    s = float(s)  # a numpy scalar would warn where the expansion overflows
     if s == 0.0:
         denom = float(l)
     else:
         denom = 2.0 * s + l + 2.0 * s * math.sqrt(1.0 + l / s)
+    if math.isinf(denom):
+        root = math.sqrt(s) + math.sqrt(s + l)
+        return (k - 2 * l) / k * (2.0 * math.sqrt(s) / root) ** 2 + (1.0 + (k - 2 * l) / root / root) ** 2
     shift = (k - 2 * l) / denom
     return (k - 2 * l) / k * (4.0 * s / denom) + (1.0 + shift) ** 2
 
@@ -297,7 +314,7 @@ def optimize_s(config: ExampleConfig, grid: GridSpec | None = None) -> BoundRepo
     psi_values = np.array([psi_exact(s, config) for s in s_values])
     d_values = np.array([distortion_bound(p) for p in psi_values])
 
-    d_at_zero = distortion_bound(psi_exact(0.0, config))
+    d_at_zero = float(d_values[0])  # the grid always starts at s = 0
     d_at_limit = distortion_bound(psi_limit(config))
     d_classical = classical_bound(config)
 
@@ -322,44 +339,26 @@ def optimize_s(config: ExampleConfig, grid: GridSpec | None = None) -> BoundRepo
 
 
 def oracle_source_value(config: ExampleConfig, channel: EpsilonChannel, s: float) -> float:
-    """Literal double sum of the negated source functional.
+    """Negated source functional: -I_Q of the simple extension of `source_joint`.
 
-    Evaluates sum_{u,v} P(u) P(v) sqrt(s + P(v|u) / P(v)) with uniform
-    P(u) = P(v) = 1/K over the given test channel, term by term.  Serves as
-    the independent check of `rate_distortion_value`.
+    With Q(z) = -sqrt(z): sum_{u,v} P(u) P(v) sqrt(s + P(u,v) / (P(u) P(v))) for
+    uniform P(u) = 1/K and the channel's own output law P(v), which is 1/K for a
+    constant crossover only; there it independently checks `rate_distortion_value`.
     """
-    if channel.K != config.K:
-        raise DimensionMismatchError(f"channel has {channel.K} letters, config {config.K}")
+    joint = source_joint(config.K, channel)
     _check_sk(s, config.K)
-    k = config.K
-    t = channel.transition_matrix()
-    total = 0.0
-    for u in range(k):
-        for v in range(k):
-            total += math.sqrt(s + k * t[u, v]) / (k * k)
-    return total
+    return -mixed_measure_information(_Q, joint, *reversed(simple_extension_coefficients(joint, s)))
 
 
 def oracle_channel_value(p: Distribution, s: float) -> float:
-    """Literal double sum of the negated channel functional.
+    """Negated channel functional: -I_Q of the simple extension of diag(p).
 
-    Noise-free channel, arbitrary input law p: evaluates
-    sum_{x,y} p(x) p(y) sqrt(s + 1{x=y} / p(y)) term by term, skipping
-    zero-mass letters.  Independent check of `capacity_value`.
+    For input law p: sum_{x,y} p(x) p(y) sqrt(s + 1{x=y} / p(y)), dead letters
+    dropped by the kernel's null-cell rule.  Independent check of `capacity_value`.
     """
-    if s < 0.0:
-        raise BadParamsError("extension weight s must be nonnegative")
-    probs = p.probs
-    total = 0.0
-    for x in range(p.n):
-        if probs[x] == 0.0:
-            continue
-        for y in range(p.n):
-            if probs[y] == 0.0:
-                continue
-            bump = 1.0 / probs[y] if x == y else 0.0
-            total += probs[x] * probs[y] * math.sqrt(s + bump)
-    return total
+    _check_sk(s, p.n)
+    joint = JointDistribution(np.diag(p.probs))
+    return -mixed_measure_information(_Q, joint, *reversed(simple_extension_coefficients(joint, s)))
 
 
 def source_joint(K: int, channel: EpsilonChannel) -> JointDistribution:

@@ -54,6 +54,11 @@ def test_config_validation():
         ExampleConfig(5, 2)  # ratio above 2
     with pytest.raises(BadParamsError):
         ExampleConfig(2, 2)  # ratio not above 1
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(BadParamsError, match="alphabet sizes must be integers"):
+            ExampleConfig(bad, 2)
+        with pytest.raises(BadParamsError, match="alphabet sizes must be integers"):
+            ExampleConfig(3, bad)
 
 
 # ---------------------------------------------------------------- channels
@@ -187,6 +192,59 @@ def test_source_oracle_counts_empty_cells():
         oracle_source_value(ExampleConfig(4, 3), ch, 2.0)
 
 
+def _decimal_extension(matrix: np.ndarray, scale: int, s: float) -> Decimal:
+    """sum_{u,v} P(u) P(v) sqrt(s + P(u,v) / (P(u) P(v))) term by term in 40 digits.
+
+    P(u,v) = matrix / scale, and both marginals are its own row and column
+    sums; pairs with a dead letter are skipped.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        table = [[Decimal(float(x)) / scale for x in row] for row in matrix]
+        pu, pv = [sum(row) for row in table], [sum(col) for col in zip(*table)]
+        total = Decimal(0)
+        for u, a in enumerate(pu):
+            for v, b in enumerate(pv):
+                if a * b > 0:
+                    total += a * b * (Decimal(s) + table[u][v] / (a * b)).sqrt()
+        return total
+
+
+def _within_1e14(value: float, exact: Decimal) -> bool:
+    return abs(Decimal(value) - exact) <= Decimal(1e-14) * exact
+
+
+def test_oracles_against_a_decimal_literal_sum():
+    laws = ([0.5, 0.0, 0.3, 0.2], [0.25] * 4, [0.7, 0.2, 0.1], [0.0, 1.0])  # dead letters too
+    crossovers = ([0.0, 0.25, 0.0, 0.6], [1.0, 0.2, 0.0], [0.3] * 5, [0.0] * 3)  # [1, .2, 0] kills v = 0
+    for s in (0.0, 2.2e-313, 0.37, 40.0):  # 1/s overflows: the ratio the slot order avoids
+        for probs in laws:
+            law = Distribution(probs)
+            assert _within_1e14(oracle_channel_value(law, s), _decimal_extension(np.diag(law.probs), 1, s))
+        for eps in crossovers:
+            ch = EpsilonChannel(eps)
+            got = oracle_source_value(ExampleConfig(ch.K, ch.K - 1), ch, s)
+            assert _within_1e14(got, _decimal_extension(ch.transition_matrix(), ch.K, s))
+
+
+def test_source_oracle_uses_the_channel_output_law():
+    # Output law (0.5, 0.2, 0.3), not 1/3: the fixed-1/K sum is a different number.
+    ch = EpsilonChannel([0.6, 0.1, 0.2])
+    got = oracle_source_value(ExampleConfig(3, 2), ch, 1.0)
+    fixed = sum(math.sqrt(1.0 + 3.0 * t) for t in ch.transition_matrix().ravel()) / 9.0
+    assert _within_1e14(got, _decimal_extension(ch.transition_matrix(), 3, 1.0))
+    assert abs(got - fixed) > 1e-3
+
+
+def test_oracles_refuse_a_nonfinite_or_negative_extension_weight():
+    law, ch = Distribution([0.5, 0.5]), EpsilonChannel([0.1, 0.2, 0.3])
+    for bad in (float("nan"), float("inf"), -float("inf"), -0.5):
+        with pytest.raises(BadParamsError):
+            oracle_channel_value(law, bad)
+        with pytest.raises(BadParamsError):
+            oracle_source_value(ExampleConfig(3, 2), ch, bad)
+
+
 # ------------------------------------------------------------ bound curve
 
 
@@ -309,9 +367,9 @@ def test_distortion_bound_against_a_decimal_root():
 
 
 def _decimal_psi(s: float, k: int, l: int) -> Decimal:
-    """The displayed psi(s) form, whose cancellation 80 digits absorb."""
+    """The displayed psi(s) form; its cancellation eats about twice the digits of s."""
     with localcontext() as ctx:
-        ctx.prec = 80
+        ctx.prec = max(80, 2 * Decimal(s).adjusted() + 40)
         s, k, l = Decimal(s), Decimal(k), Decimal(l)
         inner = (k / (s.sqrt() + (s + l).sqrt()) + 2 * s.sqrt()) ** 2 - 2 * s - k
         return inner**2 / k**2 - 4 * s * (s + k) / k**2
@@ -320,7 +378,7 @@ def _decimal_psi(s: float, k: int, l: int) -> Decimal:
 def test_psi_exact_against_a_decimal_oracle():
     for k, l in [(3, 2), (5, 4), (7, 4), (4, 2), (101, 100)]:
         config = ExampleConfig(k, l)
-        for s in [0.0, *np.geomspace(1e-6, 1e15, 120)]:
+        for s in [0.0, 5e-324, 1e-310, *np.geomspace(1e-6, 1e15, 120), 5e307, 1.7e308]:
             exact = _decimal_psi(float(s), k, l)
             assert abs(Decimal(psi_exact(float(s), config)) - exact) <= Decimal(3e-14) * abs(exact)
 
@@ -408,6 +466,8 @@ def test_grid_spec_values_and_validation():
         GridSpec(0.0, 1.0, 4)  # log spacing from zero
     with pytest.raises(BadGridError):
         GridSpec(-1.0, 1.0, 4, log_spaced=False)
+    with pytest.raises(BadGridError):
+        GridSpec(1.0, 2.0, 2.5)
 
 
 def test_optimize_s_report_shape_and_endpoints():

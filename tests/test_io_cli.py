@@ -742,6 +742,14 @@ def test_cli_bounds_rejects_bad_ratio(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("stop", ["5e307", "1.7e308"])
+def test_cli_bounds_grid_up_to_the_float_range(capsys, stop):
+    """4s overflows there; psi still reaches its limit 2/3 (pytest fails on a RuntimeWarning)."""
+    code, out = _run(capsys, "--format", "csv", "bounds", "--K", "3", "--L", "2", "--grid-stop", stop)
+    assert code == 0
+    assert out.strip().split("\n")[-1] == f"{float(stop):.12g},0.666666666667,0.211324865405"
+
+
 def test_cli_exit_codes(capsys, tmp_path, mod3_file):
     assert main(["--help"]) == 0
     capsys.readouterr()
