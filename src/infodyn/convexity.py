@@ -116,8 +116,6 @@ class PerspectiveFunction(ConvexFunction):
     the domain of the ratios.
     """
 
-    base: ConvexFunction | None = None
-
     def _check_domain(self, values: np.ndarray) -> None:
         if np.any(values[0] <= 0.0):
             raise SupportMismatchError("perspective scale must be strictly positive")
@@ -132,7 +130,6 @@ def perspective(q: ConvexFunction) -> PerspectiveFunction:
         name=f"{q.name}_perspective",
         arity=q.arity + 1,
         evaluator=lambda u: u[0] * q._evaluate(u[1:] / u[0]),
-        base=q,
     )
 
 
@@ -188,6 +185,8 @@ def builtin(name: str, **params) -> ConvexFunction:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise BadParamsError("breakpoints must be (x, y) pairs")
+        if not np.isfinite(pts).all():
+            raise BadParamsError("breakpoints must be finite")
         xs, ys = pts[:, 0], pts[:, 1]
         if np.any(np.diff(xs) <= 0.0):
             raise BadParamsError("breakpoint x values must be strictly increasing")

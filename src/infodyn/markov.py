@@ -9,8 +9,8 @@ matrices W with zero diagonal; the master equation
 is integrated with a fixed-step classical 4th-order scheme.  For this
 linear equation one RK4 step is exactly p <- p R, R = sum_{k<=4} (dt G)^k / k!
 with G the generator, so both time scales share one engine: `trajectory`
-steps stacked row vectors through T, or through R built once (as p + p D
-with D = R - I), and `propagate` collects them into one array.
+steps stacked row vectors through T, or through R built once (as p + p D with
+D = R - I); `propagate` collects them into one array for the evolve wrappers.
 
 The stationary law has one solver at every n: power iteration on a lazy
 kernel, stopped on an entrywise bound from its observed contraction, which
@@ -62,6 +62,8 @@ __all__ = [
 
 #: Construction-time tolerance on normalization invariants.
 NORMALIZATION_ATOL = 1e-12
+#: Relative accuracy of each entry of a stationary law.
+STATIONARY_TOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -271,21 +273,23 @@ def _gth(chain: Chain) -> np.ndarray:
     return pi / pi.sum()
 
 
-def stationary_distribution(chain: Chain, tol: float = 1e-12) -> Distribution:
+def stationary_distribution(chain: Chain) -> Distribution:
     """Unique stationary law of an irreducible chain, each entry to about `tol` relative.
 
-    Irreducibility, checked first, makes the law unique.  Power iteration runs
-    on the lazy uniformized kernel, pi <- pi W + hold pi normalized with
-    hold = 1.05 max(exit) - exit > 0, which is aperiodic.  When sweep k moves
-    each entry by at most c_k relative, the rest move it by about
-    rho / (1 - rho) c_k, rho = c_k / c_(k-1).  A slower mode shows as a jump
-    in that ratio, so the loop stops only once the last ratio is within 1.25
-    times the largest of the three before it, c_k <= 2 tol, and twice the
-    tail, with rho the largest of the four, is within tol.  `_gth` takes over
-    when rho predicts more than n sweeps, or c_k is down to rounding, where
-    no rate can be read.  Raises NonErgodicError when the chain is reducible,
-    the law is not strictly positive or the residual exceeds tolerance.
+    Here tol = STATIONARY_TOL.  Irreducibility, checked first, makes the law
+    unique.  Power iteration runs on the lazy uniformized kernel, pi <- pi W +
+    hold pi normalized with hold = 1.05 max(exit) - exit > 0, which is
+    aperiodic.  When sweep k moves each entry by at most c_k relative, the rest
+    move it by about rho / (1 - rho) c_k, rho = c_k / c_(k-1).  A slower mode
+    shows as a jump in that ratio, so the loop stops only once the last ratio
+    is within 1.25 times the largest of the three before it, c_k <= 2 tol, and
+    twice the tail, with rho the largest of the four, is within tol.  `_gth`
+    takes over when rho predicts more than n sweeps, or c_k is down to
+    rounding, where no rate can be read.  Raises NonErgodicError when the chain
+    is reducible, the law is not strictly positive or the residual exceeds
+    tolerance.
     """
+    tol = STATIONARY_TOL
     _require_strongly_connected(chain)
     exit_rates = _exit_rates(chain)
     hold = (1.05 * np.max(exit_rates) or 1.0) - exit_rates  # one state: no exit, any hold
@@ -454,6 +458,8 @@ def check_balance(chain: Chain, pi: Distribution, tol: float = 1e-9) -> BalanceR
     The doubly-stochastic flag is a property of discrete kernels (column
     sums equal one) and is reported as False for rate matrices.
     """
+    if not 0.0 <= tol < np.inf:
+        raise BadParamsError(f"tol must be finite and nonnegative, got {tol}")
     if pi.n != chain.n:
         raise DimensionMismatchError(f"law has {pi.n} states, chain has {chain.n}")
     p = pi.probs

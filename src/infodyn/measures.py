@@ -68,9 +68,10 @@ __all__ = [
 
 MARKOV_FACTORIZATION_ATOL = 1e-9
 MAX_ENUMERATED_LETTERS = 3
-# Cells per blended stack in expected_mixed_measure_information.  It bounds the
-# temporaries and keeps each below glibc's 128 KiB mmap threshold: larger ones
-# are mapped afresh and page-faulted per block (2x slower at |X| = |Y| = 24).
+# Cells per stacked kernel call: a blended stack in expected_mixed_measure_information,
+# a block of laws in monotonicity.trace_functional.  It bounds the temporaries
+# and keeps each below glibc's 128 KiB mmap threshold: larger ones are mapped
+# afresh and page-faulted per block (2x slower at |X| = |Y| = 24).
 _BLEND_BLOCK_CELLS = 1 << 14
 _INFINITE = "value is infinite: the second law vanishes where the weighting law has mass"
 _SUPERLINEAR = "value is infinite: the second law has mass where the weighting law vanishes"
@@ -152,14 +153,15 @@ def _require_arity(q: ConvexFunction, arity: int) -> None:
         raise ArityMismatchError(f"{q.name} has arity {q.arity}, expected {arity}")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow raises at the finiteness test
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is handled at the finiteness test
 def _ratio_functional(q: ConvexFunction, reference: np.ndarray, companions: np.ndarray):
     """sum ref * Q(companions / ref) over the last axis, with the null-cell rule above.
 
     `companions` holds Q's arguments on its leading axis, of length q.arity;
     its other axes broadcast against `reference`, so one call evaluates a
-    whole trajectory.  A value that is not finite raises: finite inputs
-    whose ratios overflow give no meaningful value.
+    stack of laws.  At arity 1 with a finite slope, a ratio that overflows at
+    a positive reference takes the null-cell tail, its limit; any other value
+    that is not finite raises.
     """
     ref = reference[None]  # aligns with the arguments' axis
     pos = ref > 0.0
@@ -182,6 +184,10 @@ def _ratio_functional(q: ConvexFunction, reference: np.ndarray, companions: np.n
             raise
         raise SupportMismatchError(f"{_INFINITE} ({q.name} is infinite at 0)") from None
     if not (isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
+        overflow = pos & (companions / np.where(pos, ref, 1.0) == np.inf)
+        if q.arity == 1 and q.recession_slope is not None and overflow.any():
+            # ref Q(c/ref) -> c * slope as c/ref -> inf: the null-cell tail of a zero reference
+            return _ratio_functional(q, np.where(overflow[0], 0.0, reference), companions)
         raise BadParamsError("functional value is not finite (a ratio overflows)")
     return total
 

@@ -31,13 +31,12 @@ from .markov import (
     MeasureFamily,
     RateMatrix,
     StochasticMatrix,
-    propagate,
     stationary_distribution,
     trajectory,
     _freeze,
     _series,
 )
-from .measures import _ratio_functional, _require_arity
+from .measures import _BLEND_BLOCK_CELLS, _ratio_functional, _require_arity
 
 __all__ = [
     "TimeSeries",
@@ -48,18 +47,6 @@ __all__ = [
     "h_theorem_rate",
 ]
 
-TRACE_KINDS = (
-    "entropy",
-    "kl_to_stationary",
-    "kl_from_stationary",
-    "kl_pair",
-    "u_functional",
-    "j_functional",
-    "v_functional",
-    "circuit_energy",
-    "bhattacharyya",
-)
-
 DIRECTIONS = ("non_increasing", "non_decreasing")
 
 SYMMETRY_ATOL = 1e-12
@@ -68,6 +55,29 @@ _U_LOG_U = builtin("u_log_u")
 _NEG_LOG = builtin("neg_log")
 _NEG_SQRT = builtin("neg_sqrt")
 _HALF_SQUARE = builtin("half_square")
+
+
+def _joint_call(q: ConvexFunction, pi, laws: np.ndarray) -> np.ndarray:
+    """j_functional: each joint law of (X_0, X_t) against the product of its marginals."""
+    prod = laws.sum(axis=2)[:, :, None] * laws.sum(axis=1)[:, None, :]
+    return _ratio_functional(q, laws.reshape(len(laws), -1), prod.reshape(1, len(laws), -1))
+
+
+# Each trace kind as one kernel call on a block of laws (b, *rows.shape), given Q and pi.
+_KERNEL_CALLS = {
+    "entropy": lambda q, pi, laws: -_ratio_functional(_U_LOG_U, np.ones(laws.shape[-1]), laws[None]),
+    "kl_to_stationary": lambda q, pi, laws: _ratio_functional(_NEG_LOG, laws, pi[None]),
+    "kl_from_stationary": lambda q, pi, laws: _ratio_functional(_NEG_LOG, pi, laws[None]),
+    "kl_pair": lambda q, pi, laws: _ratio_functional(_NEG_LOG, laws[:, 0], laws[None, :, 1]),
+    "u_functional": lambda q, pi, laws: _ratio_functional(q, pi, laws[None]),
+    "j_functional": _joint_call,
+    "v_functional": lambda q, pi, laws: _ratio_functional(q, laws[:, 0], np.moveaxis(laws[:, 1:], 1, 0)),
+    # (1/2) sum p^2 / pi = sum pi Q(p / pi), Q(u) = u^2 / 2
+    "circuit_energy": lambda q, pi, laws: _ratio_functional(_HALF_SQUARE, pi, laws[None]),
+    "bhattacharyya": lambda q, pi, laws: -_ratio_functional(_NEG_SQRT, laws, pi[None]),
+}
+TRACE_KINDS = tuple(_KERNEL_CALLS)
+_LAW_ONLY = ("entropy", "kl_pair", "j_functional", "v_functional")  # no stationary law
 
 
 @dataclass(frozen=True)
@@ -127,62 +137,44 @@ def trace_functional(
     `inits` supplies what the kind consumes: ``init`` (a Distribution) for
     all distribution-based kinds, additionally ``init2`` for ``kl_pair``,
     and ``family`` (a MeasureFamily) for ``v_functional``.  Kinds that
-    compare against the stationary law compute it on the fly, so the chain
-    must be ergodic for those.  Every input is checked before the first step.
+    compare against the stationary law solve it once, before the first
+    step, so the chain must be ergodic for those.  Every input is checked
+    before the first step.
 
     A RateMatrix needs the step `dt`; its trajectory is the RK4 solution of
-    the master equation at t = 0, dt, ..., steps * dt.  Kinds are evaluated
-    on the whole (steps+1, n) array of laws at once (``v_functional`` on the
-    (steps+1, k+1, n) array of families), except ``j_functional``, which
-    steps the n x n joint law of (X_0, X_t).  The RK4 step is itself a
-    Markov kernel, so all kinds work in both time scales.
+    the master equation at t = 0, dt, ..., steps * dt.  The RK4 step is
+    itself a Markov kernel, so all kinds work in both time scales.  Each
+    kind steps one stack of rows: the law, the ``kl_pair`` pair, the
+    family, or for ``j_functional`` the n x n joint law of (X_0, X_t).
+    Steps are gathered into blocks of at most _BLEND_BLOCK_CELLS cells,
+    one kernel call each, so only the value series grows with `steps`.
     """
     if kind not in TRACE_KINDS:
         raise BadParamsError(f"unknown trace kind {kind!r}")
-
     if kind == "v_functional":
         family = _need(inits, "family", kind, MeasureFamily)
-        q = _need_q(q, kind, family.k)
-        times, laws = propagate(chain, family.measures, steps, dt)
-        companions = np.moveaxis(laws[:, 1:], 1, 0)
-        return TimeSeries(times, _ratio_functional(q, laws[:, 0], companions))
-
-    init = _need(inits, "init", kind)
-    if kind in ("u_functional", "j_functional"):
-        q = _need_q(q, kind)
-    if kind == "j_functional":  # law of (X_0, X_t), one n x n step at a time
-        path = trajectory(chain, np.diag(init.probs), steps, dt)
-        times, values = _series(steps)
-        for k, (t, joint) in enumerate(path):
-            prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-            times[k], values[k] = t, _ratio_functional(q, joint.ravel(), prod.ravel()[None])
-        return TimeSeries(times, values)
-
-    rows = init.probs
-    if kind == "kl_pair":
-        other = _need(inits, "init2", kind)
-        if other.n != init.n:
-            raise DimensionMismatchError(f"init has {init.n} states, init2 has {other.n}")
-        rows = np.stack([init.probs, other.probs])
-    times, laws = propagate(chain, rows, steps, dt)
-
-    if kind == "entropy":
-        values = -_ratio_functional(_U_LOG_U, np.ones(chain.n), laws[None])
-    elif kind == "kl_pair":
-        values = _ratio_functional(_NEG_LOG, laws[:, 0], laws[None, :, 1])
+        q, rows = _need_q(q, kind, family.k), family.measures
     else:
-        pi = stationary_distribution(chain).probs
-        if kind == "kl_to_stationary":
-            values = _ratio_functional(_NEG_LOG, laws, pi[None])
-        elif kind == "kl_from_stationary":
-            values = _ratio_functional(_NEG_LOG, pi, laws[None])
-        elif kind == "u_functional":
-            values = _ratio_functional(q, pi, laws[None])
-        elif kind == "circuit_energy":  # (1/2) sum p^2 / pi = sum pi Q(p / pi), Q(u) = u^2 / 2
-            values = _ratio_functional(_HALF_SQUARE, pi, laws[None])
-        else:  # bhattacharyya
-            values = -_ratio_functional(_NEG_SQRT, laws, pi[None])
+        init = _need(inits, "init", kind)
+        rows = np.diag(init.probs) if kind == "j_functional" else init.probs
+        if kind in ("u_functional", "j_functional"):
+            q = _need_q(q, kind)
+        if kind == "kl_pair":
+            other = _need(inits, "init2", kind)
+            if other.n != init.n:
+                raise DimensionMismatchError(f"init has {init.n} states, init2 has {other.n}")
+            rows = np.stack([init.probs, other.probs])
 
+    path = trajectory(chain, rows, steps, dt)
+    times, values = _series(steps)
+    pi = None if kind in _LAW_ONLY else stationary_distribution(chain).probs
+    per, last = max(1, _BLEND_BLOCK_CELLS // rows.size), len(times) - 1
+    block = np.empty((per, *rows.shape))
+    for k, (t, law) in enumerate(path):
+        i = k % per
+        times[k], block[i] = t, law
+        if i == per - 1 or k == last:
+            values[k - i : k + 1] = _KERNEL_CALLS[kind](q, pi, block[: i + 1])
     return TimeSeries(times, values)
 
 
@@ -194,6 +186,8 @@ def verdict(series: TimeSeries, direction: str, tol: float = 1e-9) -> Monotonici
     """
     if direction not in DIRECTIONS:
         raise BadParamsError(f"direction must be one of {DIRECTIONS}")
+    if not 0.0 <= tol < np.inf:
+        raise BadParamsError(f"tol must be finite and nonnegative, got {tol}")
     if len(series) == 0:
         raise EmptySeriesError("cannot judge an empty series")
     if len(series) == 1:

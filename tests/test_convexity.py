@@ -162,6 +162,35 @@ def test_recession_tail_matches_a_decimal_oracle(q, exact_q):
         assert abs(value - exact) <= 1e-15 * max(1.0, abs(exact)), q.name
 
 
+@pytest.mark.parametrize(
+    "q, exact_q",
+    [
+        (builtin("neg_log"), lambda u: -u.ln()),
+        (builtin("neg_sqrt"), _DECIMAL_Q["neg_sqrt"]),
+        (builtin("piecewise_linear", breakpoints=_KNOTS), _DECIMAL_Q["piecewise_linear"]),
+    ],
+    ids=["neg_log", "neg_sqrt", "piecewise_linear"],
+)
+def test_an_overflowing_ratio_takes_the_recession_tail(q, exact_q):
+    """At ref = 1e-320 the ratio 0.5 / ref overflows, and ref Q(0.5 / ref) is 0.5 * slope.
+
+    The oracle is sum ref Q(comp/ref) in 40-digit decimal on the exact float entries.
+    """
+    p1, p2 = [1e-320, 1.0], [0.5, 0.5]
+    value = f_divergence(q, Distribution(p1), Distribution(p2))
+    exact = _decimal_sum(lambda: (Decimal(r) * exact_q(Decimal(c) / Decimal(r)) for r, c in zip(p1, p2)))
+    assert abs(value - exact) <= 1e-15 * max(1.0, abs(exact)), q.name
+
+
+def test_an_overflowing_ratio_raises_without_a_finite_slope():
+    """square grows faster than linearly; a perspective has no scalar slope."""
+    with pytest.raises(BadParamsError, match="not finite"):
+        f_divergence(builtin("square"), Distribution([1e-320, 1.0]), Distribution([0.5, 0.5]))
+    family = MeasureFamily([[1e-320, 1.0], [0.5, 0.5], [0.25, 0.75]])
+    with pytest.raises(BadParamsError, match="not finite"):
+        measure_family_functional(perspective(builtin("neg_log")), family)
+
+
 def test_recession_slopes():
     assert builtin("neg_log").recession_slope == 0.0
     assert builtin("neg_sqrt").recession_slope == 0.0
@@ -200,6 +229,12 @@ def test_piecewise_linear_validation():
     with pytest.raises(BadParamsError):
         # slopes 1 then 0: concave kink
         builtin("piecewise_linear", breakpoints=[(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
+    for knots in ([(0.0, 0.0), (math.inf, 1.0)], [(0.0, math.nan), (1.0, 1.0)]):
+        with pytest.raises(BadParamsError, match="breakpoints must be finite"):
+            builtin("piecewise_linear", breakpoints=knots)
+    for text in ("piecewise:0,0;inf,1", "piecewise:0,nan;1,1"):
+        with pytest.raises(BadParamsError, match="breakpoints must be finite"):
+            parse_q_spec(text)
     with pytest.raises(BadParamsError):
         builtin("unknown_q")
 

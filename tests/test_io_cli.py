@@ -546,6 +546,15 @@ def test_cli_check_detailed_balance(capsys, tmp_path):
     assert doc["max_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+def test_cli_check_refuses_a_tolerance_that_is_not_finite_and_nonnegative(capsys, tmp_path, tol):
+    """A doubly stochastic, non-reversible chain: NaN read every flag false, inf every one true."""
+    path = tmp_path / "cycle.json"
+    save_chain(StochasticMatrix([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]), path)
+    code, out = _run(capsys, f"--tol={tol}", "check", "--chain", str(path))
+    assert code == 2 and out == ""
+
+
 def test_cli_check_with_wrong_candidate_law(capsys, tmp_path, mod3_file):
     skew = tmp_path / "skew.json"
     save_distribution(Distribution([0.6, 0.3, 0.1]), skew)

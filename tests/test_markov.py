@@ -1,5 +1,6 @@
 """Chain construction, stationarity, balance, and evolution."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -714,6 +715,9 @@ def test_balance_dimension_mismatch():
     chain = build_example_chain("mod_k_walk", K=3)
     with pytest.raises(DimensionMismatchError):
         check_balance(chain, Distribution([0.5, 0.5]))
+    for tol in (math.nan, math.inf, -math.inf, -1e-9):
+        with pytest.raises(BadParamsError, match="tol must be finite and nonnegative"):
+            check_balance(chain, Distribution([1 / 3, 1 / 3, 1 / 3]), tol=tol)
 
 
 # --------------------------------------------------------------- reversal

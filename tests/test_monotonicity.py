@@ -1,6 +1,7 @@
 """Trace kinds, verdicts, and the continuous-time entropy production rate."""
 
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -19,6 +20,7 @@ from infodyn import (
     NotSymmetricError,
     RateMatrix,
     StochasticMatrix,
+    TRACE_KINDS,
     TimeSeries,
     UnstableStepError,
     ZeroProbabilityError,
@@ -32,6 +34,7 @@ from infodyn import (
     verdict,
 )
 from infodyn.markov import propagate
+from infodyn.measures import _BLEND_BLOCK_CELLS, _ratio_functional
 
 EPS = np.finfo(float).eps
 
@@ -90,6 +93,9 @@ def test_verdict_respects_tolerance():
     series = TimeSeries(range(2), [1.0, 1.0 + 5e-10])
     assert verdict(series, "non_increasing", tol=1e-9).holds
     assert not verdict(series, "non_increasing", tol=1e-12).holds
+    for tol in (math.nan, math.inf, -math.inf, -1e-9):
+        with pytest.raises(BadParamsError, match="tol must be finite and nonnegative"):
+            verdict(series, "non_increasing", tol=tol)
 
 
 # ------------------------------------------------------------- trace kinds
@@ -374,3 +380,82 @@ def test_h_rate_nonnegative_and_matches_finite_difference():
         centered = (shannon_entropy(path[2][1]) - shannon_entropy(path[0][1])) / (2 * dt)
         rate_mid = h_theorem_rate(rates, path[1][1])
         assert abs(rate_mid - centered) < 1e-4
+
+
+# ------------------------------------------------------------ blocked loop
+
+
+_Q = {name: builtin(name) for name in ("u_log_u", "neg_log", "neg_sqrt", "half_square")}
+
+
+def _per_law(kind, q, pi, law):
+    """One kernel call for one law of a trajectory: the reference the blocks must match."""
+    kernel = _ratio_functional.__wrapped__  # without its errstate, which costs a third of a call
+    if kind == "entropy":
+        return -kernel(_Q["u_log_u"], np.ones(law.size), law[None])
+    if kind == "kl_to_stationary":
+        return kernel(_Q["neg_log"], law, pi[None])
+    if kind == "kl_from_stationary":
+        return kernel(_Q["neg_log"], pi, law[None])
+    if kind == "kl_pair":
+        return kernel(_Q["neg_log"], law[0], law[None, 1])
+    if kind == "u_functional":
+        return kernel(q, pi, law[None])
+    if kind == "j_functional":
+        product = np.outer(law.sum(axis=1), law.sum(axis=0))
+        return kernel(q, law.ravel(), product.ravel()[None])
+    if kind == "v_functional":
+        return kernel(q, law[0], law[1:])
+    if kind == "circuit_energy":
+        return kernel(_Q["half_square"], pi, law[None])
+    return -kernel(_Q["neg_sqrt"], law, pi[None])
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("continuous", [False, True], ids=["kernel", "rates"])
+def test_blocks_match_a_per_law_reference_at_their_boundaries(n, continuous):
+    """Each kind steps its rows in blocks of per = CELLS // rows.size laws.
+
+    Traces of per - 1, per and per + 1 steps end one law short of, on, and
+    one past a block boundary; every value must equal, byte for byte, one
+    kernel call on that law alone.
+    """
+    rng = np.random.default_rng(61 + n)
+    if continuous:
+        w = rng.random((n, n))
+        np.fill_diagonal(w, 0.0)
+        chain, dt = RateMatrix(w), 0.5 / w.sum(axis=1).max()
+    else:
+        chain, dt = random_chain(rng, n), None
+    init, init2 = random_distribution(rng, n), random_distribution(rng, n)
+    family = random_family(rng, n, 1)
+    pi = stationary_distribution(chain).probs
+    for kind in TRACE_KINDS:
+        q = {"u_functional": builtin("u_log_u"), "j_functional": builtin("neg_sqrt")}.get(kind)
+        q = builtin("neg_pow", s=0.3) if kind == "v_functional" else q
+        rows = {
+            "kl_pair": np.stack([init.probs, init2.probs]),
+            "j_functional": np.diag(init.probs),
+            "v_functional": family.measures,
+        }.get(kind, init.probs)
+        per = max(1, _BLEND_BLOCK_CELLS // rows.size)
+        _, laws = propagate(chain, rows, per + 1, dt)
+        reference = np.array([_per_law(kind, q, pi, law) for law in laws])
+        inits = {"init": init, "init2": init2, "family": family}
+        for steps in (per - 1, per, per + 1):
+            series = trace_functional(kind, chain, q=q, inits=inits, steps=steps, dt=dt)
+            assert series.values.tobytes() == reference[: steps + 1].tobytes(), (kind, steps)
+
+
+def test_a_long_trace_holds_one_block_of_laws_not_the_trajectory():
+    """2001 laws of 64 states take 1 MiB; the traced peak stays below that."""
+    rng = np.random.default_rng(62)
+    chain, init = random_chain(rng, 64), random_distribution(rng, 64)
+    trace_functional("u_functional", chain, q=builtin("u_log_u"), inits={"init": init}, steps=1)
+    tracemalloc.start()
+    try:
+        trace_functional("u_functional", chain, q=builtin("u_log_u"), inits={"init": init}, steps=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2001 * 64 * 8, peak
