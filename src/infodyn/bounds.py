@@ -148,8 +148,6 @@ class GridSpec:
             raise BadGridError("grid values must be nonnegative")
 
     def values(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.start])
         if self.log_spaced:
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)

@@ -36,9 +36,17 @@ from .monotonicity import TRACE_KINDS, trace_functional
 
 __all__ = ["ScenarioConfig", "run_scenario", "emit_report", "main"]
 
-# Each measure op and the options it cannot run without.
+# Each measure op: the options it cannot run without, and its value from Q and the options.
 MEASURE_OPS = {
-    "fdiv": ("p1", "p2"), "mi": ("joint",), "lautum": ("joint",), "zz": ("joint",), "v": ("family",),
+    "fdiv": (("p1", "p2"), lambda q, o: f_divergence(
+        q, diskio.load_distribution(o["p1"]), diskio.load_distribution(o["p2"])
+    )),
+    "mi": (("joint",), lambda q, o: generalized_mutual_information(q, diskio.load_joint(o["joint"]))),
+    "lautum": (("joint",), lambda q, o: generalized_lautum_information(q, diskio.load_joint(o["joint"]))),
+    "zz": (("joint",), lambda q, o: zakai_ziv_functional(
+        q, diskio.load_joint(o["joint"]), diskio.load_pair_measures(o.get("measures") or o["joint"])
+    )),
+    "v": (("family",), lambda q, o: measure_family_functional(q, diskio.load_family(o["family"]))),
 }
 
 
@@ -98,24 +106,11 @@ def _run_measure(cfg: ScenarioConfig):
     q = parse_q_spec(opts["q"])
     if op not in MEASURE_OPS:
         raise BadParamsError(f"unknown measure op {op!r}")
-    for key in MEASURE_OPS[op]:
+    needs, evaluate = MEASURE_OPS[op]
+    for key in needs:
         if opts.get(key) is None:
             raise MissingInitError(f"measure {op} needs --{key}")
-    if op == "fdiv":
-        p1, p2 = (diskio.load_distribution(opts[key]) for key in ("p1", "p2"))
-        value = f_divergence(q, p1, p2)
-    elif op == "v":
-        value = measure_family_functional(q, diskio.load_family(opts["family"]))
-    else:
-        joint = diskio.load_joint(opts["joint"])
-        if op == "mi":
-            value = generalized_mutual_information(q, joint)
-        elif op == "lautum":
-            value = generalized_lautum_information(q, joint)
-        else:
-            source = opts.get("measures") or opts["joint"]
-            value = zakai_ziv_functional(q, joint, diskio.load_pair_measures(source))
-    return "json", {"op": op, "q": opts["q"], "value": float(value)}
+    return "json", {"op": op, "q": opts["q"], "value": float(evaluate(q, opts))}
 
 
 def _run_bounds(cfg: ScenarioConfig):

@@ -8,9 +8,11 @@ matrices W with zero diagonal; the master equation
 
 is integrated with a fixed-step classical 4th-order scheme.  For this
 linear equation one RK4 step is exactly p <- p R, R = sum_{k<=4} (dt G)^k / k!
-with G the generator, so both time scales share one engine: `trajectory`
-steps stacked row vectors through T, or through R built once (as p + p D with
-D = R - I); `propagate` collects them into one array for the evolve wrappers.
+with G the generator, so both time scales share one step map, `_step_map`.
+It writes law T, or law R as law + law D with D = R - I built once, into a
+row its caller preallocated: `propagate` fills one array for the evolve
+wrappers, and the traces fill one block of laws at a time.  `_series` gives
+the times of both at once.
 
 The stationary law has one solver at every n: power iteration on a lazy
 kernel, stopped on an entrywise bound from its observed contraction, which
@@ -26,7 +28,6 @@ which is what makes the monotone functionals downstream well-defined.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import count
 from math import factorial
@@ -49,7 +50,6 @@ __all__ = [
     "MeasureFamily",
     "BalanceReport",
     "stationary_distribution",
-    "trajectory",
     "propagate",
     "horizon_steps",
     "evolve_distribution",
@@ -361,51 +361,46 @@ def _rk4_increment(rates: RateMatrix, dt: float | None) -> np.ndarray:
     return d
 
 
-def trajectory(
-    chain: Chain, rows: np.ndarray, steps: int, dt: float | None = None
-) -> Iterator[tuple[float, np.ndarray]]:
-    """Lazy (time, law) pairs for t = 0..steps with law_{t+1} = law_t K.
+def _step_map(chain: Chain, rows: np.ndarray, steps: int, dt: float | None = None):
+    """The one step law_{t+1} = law_t K, as `step(law, out)` writing into `out`.
 
-    `rows` has shape (..., n).  For a discrete chain K = T and times count
-    steps; for rates K is the RK4 step matrix, applied as law + law D, and
-    times are multiples of `dt`.  Arguments are checked, and the kernel
-    built, when the function is called.
+    `rows` has shape (..., n).  For a discrete chain K = T; for rates K is the
+    RK4 step matrix, applied as law + law D.  Arguments are checked, and the
+    kernel built, when the function is called; `out` may be `law` itself.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 0 or rows.shape[-1] != chain.n:
         raise DimensionMismatchError(f"rows have shape {rows.shape}, chain has {chain.n} states")
+    if not _integral(steps):
+        raise BadParamsError("steps must be a nonnegative integer")
     if steps < 0:
         raise BadParamsError("steps must be nonnegative")
-    rates = isinstance(chain, RateMatrix)
-    if not rates and dt is not None:
+    if isinstance(chain, RateMatrix):
+        d = _rk4_increment(chain, dt)
+        return lambda law, out: np.add(law, law @ d, out=out)
+    if dt is not None:
         raise BadParamsError("dt applies to rate matrices only")
-    kernel = _rk4_increment(chain, dt) if rates else chain.matrix
-
-    def walk(law: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
-        yield 0.0, law
-        for k in range(1, int(steps) + 1):
-            law = law + law @ kernel if rates else law @ kernel
-            yield (k * dt if rates else float(k)), law
-
-    return walk(rows)
+    return lambda law, out: np.matmul(law, chain.matrix, out=out)
 
 
-def _series(steps: int, shape: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Empty times (steps+1,) and values (steps+1, *shape) for one trajectory."""
+def _series(steps: int, shape: tuple = (), dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Times k dt (k for a kernel), k = 0..steps, and empty values (steps+1, *shape)."""
     try:  # numpy refuses at once a size beyond the address space or its dimension limit
-        return np.empty(int(steps) + 1), np.empty((int(steps) + 1, *shape))
+        values = np.empty((int(steps) + 1, *shape))
     except (MemoryError, ValueError) as exc:
         raise BadParamsError(f"{int(steps) + 1:.3g} laws cannot be held: {exc}") from exc
+    return np.arange(int(steps) + 1, dtype=float) * (1.0 if dt is None else dt), values
 
 
 def propagate(
     chain: Chain, rows: np.ndarray, steps: int, dt: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The whole `trajectory` as arrays: times (steps+1,), laws (steps+1, *rows.shape)."""
-    path = trajectory(chain, rows, steps, dt)
-    times, laws = _series(steps, np.shape(rows))
-    for k, (t, law) in enumerate(path):
-        times[k], laws[k] = t, law
+    """The trajectory of `rows` as arrays: times (steps+1,), laws (steps+1, *rows.shape)."""
+    step = _step_map(chain, rows, steps, dt)
+    times, laws = _series(steps, np.shape(rows), dt)
+    laws[0] = rows
+    for k in range(1, len(laws)):
+        step(laws[k - 1], laws[k])
     return times, laws
 
 
@@ -538,7 +533,14 @@ def build_example_chain(kind: str, **params) -> Chain:
 def _int_param(params: dict, name: str) -> int:
     if name not in params:
         raise BadParamsError(f"missing parameter {name!r}")
-    value = params[name]
-    if int(value) != value:
+    if not _integral(params[name]):
         raise BadParamsError(f"parameter {name!r} must be an integer")
-    return int(value)
+    return int(params[name])
+
+
+def _integral(value) -> bool:
+    """Whether `value` is a whole number; NaN, +-inf and strings are not."""
+    try:
+        return int(value) == value
+    except (OverflowError, TypeError, ValueError):
+        return False

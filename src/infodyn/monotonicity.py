@@ -32,9 +32,9 @@ from .markov import (
     RateMatrix,
     StochasticMatrix,
     stationary_distribution,
-    trajectory,
     _freeze,
     _series,
+    _step_map,
 )
 from .measures import _BLEND_BLOCK_CELLS, _ratio_functional, _require_arity
 
@@ -146,8 +146,9 @@ def trace_functional(
     itself a Markov kernel, so all kinds work in both time scales.  Each
     kind steps one stack of rows: the law, the ``kl_pair`` pair, the
     family, or for ``j_functional`` the n x n joint law of (X_0, X_t).
-    Steps are gathered into blocks of at most _BLEND_BLOCK_CELLS cells,
-    one kernel call each, so only the value series grows with `steps`.
+    The step map writes each law in place into a block of at most
+    _BLEND_BLOCK_CELLS cells, one kernel call each, so only the value
+    series grows with `steps`; a block's last law steps into the next.
     """
     if kind not in TRACE_KINDS:
         raise BadParamsError(f"unknown trace kind {kind!r}")
@@ -165,14 +166,16 @@ def trace_functional(
                 raise DimensionMismatchError(f"init has {init.n} states, init2 has {other.n}")
             rows = np.stack([init.probs, other.probs])
 
-    path = trajectory(chain, rows, steps, dt)
-    times, values = _series(steps)
+    step = _step_map(chain, rows, steps, dt)
+    times, values = _series(steps, dt=dt)
     pi = None if kind in _LAW_ONLY else stationary_distribution(chain).probs
     per, last = max(1, _BLEND_BLOCK_CELLS // rows.size), len(times) - 1
     block = np.empty((per, *rows.shape))
-    for k, (t, law) in enumerate(path):
+    block[0] = rows
+    for k in range(last + 1):
         i = k % per
-        times[k], block[i] = t, law
+        if k:  # at i = 0, the last law of the block before
+            step(block[i - 1], block[i])
         if i == per - 1 or k == last:
             values[k - i : k + 1] = _KERNEL_CALLS[kind](q, pi, block[: i + 1])
     return TimeSeries(times, values)

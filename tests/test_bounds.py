@@ -455,7 +455,9 @@ def test_grid_spec_values_and_validation():
     assert log == pytest.approx([1e-2, 1e-1, 1.0, 1e1, 1e2], rel=1e-12)
     lin = GridSpec(0.0, 1.0, 3, log_spaced=False).values()
     assert np.array_equal(lin, [0.0, 0.5, 1.0])
-    assert GridSpec(7.0, 7.0, 1).values() == pytest.approx([7.0])
+    assert np.array_equal(GridSpec(7.0, 7.0, 1).values(), [7.0])
+    assert np.array_equal(GridSpec(0.0, 1.0, 1, log_spaced=False).values(), [0.0])
+    assert np.array_equal(GridSpec(points=1).values(), [GridSpec.start])
     with pytest.raises(BadGridError):
         GridSpec(points=0)
     with pytest.raises(BadGridError):

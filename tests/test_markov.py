@@ -28,6 +28,7 @@ from infodyn import (
     evolve_measures,
     integrate_master_equation,
     stationary_distribution,
+    trace_functional,
 )
 from infodyn import markov
 from infodyn.markov import horizon_steps, propagate
@@ -500,8 +501,13 @@ def test_evolve_validates_dimensions_and_steps():
     chain = build_example_chain("mod_k_walk", K=3)
     with pytest.raises(DimensionMismatchError):
         evolve_distribution(chain, Distribution([0.5, 0.5]), 1)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(BadParamsError, match="steps must be nonnegative"):
         evolve_distribution(chain, Distribution([1.0, 0.0, 0.0]), -1)
+    for steps in (math.nan, math.inf, -math.inf, 2.5, "2"):
+        with pytest.raises(BadParamsError, match="steps must be a nonnegative integer"):
+            evolve_distribution(chain, Distribution([1.0, 0.0, 0.0]), steps)
+    for steps in (2.0, np.int64(2), True):
+        assert len(evolve_distribution(chain, Distribution([1.0, 0.0, 0.0]), steps)) == int(steps) + 1
 
 
 def test_wrappers_check_once_and_return_frozen_rows():
@@ -538,6 +544,40 @@ def test_evolve_holds_the_mass_of_a_drifting_kernel():
     laws = evolve_distribution(StochasticMatrix(raw), Distribution(np.eye(6)[0]), 2000)
     assert len(laws) == 2001
     assert max(abs(d.probs.sum() - 1.0) for d in laws) <= 1e-13
+
+
+@pytest.mark.parametrize("continuous", [False, True], ids=["kernel", "rates"])
+def test_propagate_equals_a_bare_loop_that_allocates_each_law(continuous):
+    """Laws stepped in place are byte-equal to p = p @ T, or p = p + p @ D for rates."""
+    rng = np.random.default_rng(23)
+    if continuous:
+        w = rng.random((9, 9))
+        np.fill_diagonal(w, 0.0)
+        chain, dt = RateMatrix(w), 0.5 / w.sum(axis=1).max()
+        d = markov._rk4_increment(chain, dt)
+        step = lambda p: p + p @ d
+    else:
+        chain, dt = random_chain(rng, 9), None
+        step = lambda p: p @ chain.matrix
+    for rows in (random_distribution(rng, 9).probs, random_family(rng, 9, 2).measures):
+        _, laws = propagate(chain, rows, 40, dt)
+        p = rows
+        for law in laws:
+            assert law.tobytes() == p.tobytes()
+            p = step(p)
+
+
+def test_rk4_times_are_whole_multiples_of_the_step():
+    """Times are k * dt exactly, as a per-step product gives them, not a running sum."""
+    rng = np.random.default_rng(24)
+    w = rng.random((4, 4))
+    np.fill_diagonal(w, 0.0)
+    dt, steps = 0.1 / w.sum(axis=1).max(), 1000
+    rates, init = RateMatrix(w), Distribution(np.eye(4)[0])
+    times, _ = propagate(rates, init.probs, steps, dt)
+    assert times.tobytes() == np.array([k * dt for k in range(steps + 1)]).tobytes()
+    trace = trace_functional("entropy", rates, inits={"init": init}, steps=steps, dt=dt)
+    assert trace.times.tobytes() == times.tobytes()
 
 
 def test_horizon_must_hold_a_finite_number_of_steps():
@@ -819,6 +859,9 @@ def test_build_custom_chain():
 
 
 def test_build_rejects_bad_parameters():
+    for k in (math.nan, math.inf, 2.5):
+        with pytest.raises(BadParamsError, match="must be an integer"):
+            build_example_chain("cyclic", K=k)
     with pytest.raises(BadParamsError):
         build_example_chain("mod_k_walk", K=1)
     with pytest.raises(BadParamsError):

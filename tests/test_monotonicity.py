@@ -247,8 +247,13 @@ def test_trace_argument_validation():
     init = Distribution([1.0, 0.0, 0.0])
     with pytest.raises(BadParamsError):
         trace_functional("free_energy", chain, inits={"init": init})
-    with pytest.raises(BadParamsError):
+    with pytest.raises(BadParamsError, match="steps must be nonnegative"):
         trace_functional("entropy", chain, inits={"init": init}, steps=-1)
+    for steps in (math.nan, math.inf, -math.inf, 2.5):
+        with pytest.raises(BadParamsError, match="steps must be a nonnegative integer"):
+            trace_functional("entropy", chain, inits={"init": init}, steps=steps)
+    for steps in (2.0, np.int64(2), True):
+        assert len(trace_functional("entropy", chain, inits={"init": init}, steps=steps)) == int(steps) + 1
     with pytest.raises(MissingInitError):
         trace_functional("entropy", chain)
     with pytest.raises(MissingInitError):
@@ -411,14 +416,15 @@ def _per_law(kind, q, pi, law):
     return -kernel(_Q["neg_sqrt"], law, pi[None])
 
 
-@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("n", [8, 64, 130])
 @pytest.mark.parametrize("continuous", [False, True], ids=["kernel", "rates"])
 def test_blocks_match_a_per_law_reference_at_their_boundaries(n, continuous):
-    """Each kind steps its rows in blocks of per = CELLS // rows.size laws.
+    """Each kind steps its rows in blocks of per = max(1, CELLS // rows.size) laws.
 
     Traces of per - 1, per and per + 1 steps end one law short of, on, and
     one past a block boundary; every value must equal, byte for byte, one
-    kernel call on that law alone.
+    kernel call on that law alone.  At n = 130 the j_functional joint law
+    has more than CELLS cells, so per = 1 and each step writes the row it reads.
     """
     rng = np.random.default_rng(61 + n)
     if continuous:
@@ -439,6 +445,7 @@ def test_blocks_match_a_per_law_reference_at_their_boundaries(n, continuous):
             "v_functional": family.measures,
         }.get(kind, init.probs)
         per = max(1, _BLEND_BLOCK_CELLS // rows.size)
+        assert per > 1 or (kind, n) == ("j_functional", 130)
         _, laws = propagate(chain, rows, per + 1, dt)
         reference = np.array([_per_law(kind, q, pi, law) for law in laws])
         inits = {"init": init, "init2": init2, "family": family}
