@@ -41,7 +41,7 @@ from .errors import (
     PsiAboveOneError,
 )
 from .convexity import builtin
-from .markov import Distribution, _freeze
+from .markov import Distribution, _empty, _freeze
 from .measures import JointDistribution, mixed_measure_information, simple_extension_coefficients
 
 __all__ = [
@@ -148,9 +148,9 @@ class GridSpec:
             raise BadGridError("grid values must be nonnegative")
 
     def values(self) -> np.ndarray:
-        if self.log_spaced:
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
+        out = _empty((self.points,), "grid points", BadGridError)
+        out[:] = (np.geomspace if self.log_spaced else np.linspace)(self.start, self.stop, self.points)
+        return out
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,6 @@ __all__ = [
     "MeasureFamily",
     "BalanceReport",
     "stationary_distribution",
-    "propagate",
-    "horizon_steps",
     "evolve_distribution",
     "evolve_measures",
     "integrate_master_equation",
@@ -260,6 +258,7 @@ def _require_strongly_connected(chain: Chain) -> None:
             raise NonErgodicError("chain is reducible")
 
 
+@np.errstate(all="ignore")  # a law wider than the float range fails the positivity test
 def _gth(chain: Chain) -> np.ndarray:
     """Grassmann-Taksar-Heyman elimination of the off-diagonal entries, kernel or rates."""
     a = np.array(chain.matrix)
@@ -315,7 +314,7 @@ def stationary_distribution(chain: Chain) -> Distribution:
             pi = _gth(chain)  # more than n sweeps to go, or no contraction
             break
 
-    if np.any(pi <= 0.0):
+    if not np.all(pi > 0.0):  # NaN fails too
         raise NonErgodicError("stationary law is not strictly positive")
     law = Distribution(pi)
     residual = float(np.abs(_drift(chain, law.probs)).max())
@@ -383,12 +382,32 @@ def _step_map(chain: Chain, rows: np.ndarray, steps: int, dt: float | None = Non
     return lambda law, out: np.matmul(law, chain.matrix, out=out)
 
 
+def _count_text(n: int) -> str:
+    """A count n >= 1 as f"{n:.3g}" writes it, without the float's range limit.
+
+    n is rounded to 53 bits, half to even, as float() rounds it; the
+    exact decimal rounding of that value is the one float formatting makes.
+    """
+    from decimal import Decimal  # only on this refusal path: both cost every start-up 3.5 ms
+    from fractions import Fraction
+
+    shift = max(n.bit_length() - 53, 0)
+    n = round(Fraction(n, 1 << shift)) << shift
+    mantissa, exp = f"{Decimal(n):.2e}".split("e")
+    return str(n) if n < 1000 else f"{mantissa.rstrip('0').rstrip('.')}e{int(exp):+03d}"
+
+
+def _empty(shape: tuple, what: str, error: type = BadParamsError) -> np.ndarray:
+    """np.empty(shape), or `error` when numpy cannot hold shape[0] `what`."""
+    try:  # numpy refuses at once a size beyond the address space or its dimension limit
+        return np.empty(shape)
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise error(f"{_count_text(int(shape[0]))} {what} cannot be held: {exc}") from exc
+
+
 def _series(steps: int, shape: tuple = (), dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Times k dt (k for a kernel), k = 0..steps, and empty values (steps+1, *shape)."""
-    try:  # numpy refuses at once a size beyond the address space or its dimension limit
-        values = np.empty((int(steps) + 1, *shape))
-    except (MemoryError, ValueError) as exc:
-        raise BadParamsError(f"{int(steps) + 1:.3g} laws cannot be held: {exc}") from exc
+    values = _empty((int(steps) + 1, *shape), "laws")
     return np.arange(int(steps) + 1, dtype=float) * (1.0 if dt is None else dt), values
 
 

@@ -205,6 +205,17 @@ def f_divergence(q: ConvexFunction, p1: Distribution, p2: Distribution) -> float
     return float(_ratio_functional(q, p1.probs, p2.probs[None]))
 
 
+def _independence_functional(q: ConvexFunction, tables: np.ndarray, lautum: bool = False):
+    """sum P(x,y) Q(P(x)P(y) / P(x,y)) for each joint law in the stack (..., nx, ny).
+
+    With `lautum` the slots swap: the product of the marginals weights the joint.
+    """
+    prod = tables.sum(axis=-1)[..., :, None] * tables.sum(axis=-2)[..., None, :]
+    cells = (*tables.shape[:-2], -1)
+    joint, prod = tables.reshape(cells), prod.reshape(cells)
+    return _ratio_functional(q, prod, joint[None]) if lautum else _ratio_functional(q, joint, prod[None])
+
+
 def generalized_mutual_information(q: ConvexFunction, joint: JointDistribution) -> float:
     """Joint-weighted convex functional of the independence ratio.
 
@@ -212,8 +223,7 @@ def generalized_mutual_information(q: ConvexFunction, joint: JointDistribution) 
     floors the value at Q(1), with equality when X and Y are independent.
     """
     _require_arity(q, 1)
-    prod = np.outer(joint.marginal_x(), joint.marginal_y())
-    return float(_ratio_functional(q, joint.table.ravel(), prod.ravel()[None]))
+    return float(_independence_functional(q, joint.table))
 
 
 def generalized_lautum_information(q: ConvexFunction, joint: JointDistribution) -> float:
@@ -224,8 +234,7 @@ def generalized_lautum_information(q: ConvexFunction, joint: JointDistribution) 
     the classical mutual information; with Q(u) = -log u, the lautum value.
     """
     _require_arity(q, 1)
-    prod = np.outer(joint.marginal_x(), joint.marginal_y())
-    return float(_ratio_functional(q, prod.ravel(), joint.table.ravel()[None]))
+    return float(_independence_functional(q, joint.table, lautum=True))
 
 
 def zakai_ziv_functional(

@@ -36,7 +36,7 @@ from .markov import (
     _series,
     _step_map,
 )
-from .measures import _BLEND_BLOCK_CELLS, _ratio_functional, _require_arity
+from .measures import _BLEND_BLOCK_CELLS, _independence_functional, _ratio_functional, _require_arity
 
 __all__ = [
     "TimeSeries",
@@ -57,12 +57,6 @@ _NEG_SQRT = builtin("neg_sqrt")
 _HALF_SQUARE = builtin("half_square")
 
 
-def _joint_call(q: ConvexFunction, pi, laws: np.ndarray) -> np.ndarray:
-    """j_functional: each joint law of (X_0, X_t) against the product of its marginals."""
-    prod = laws.sum(axis=2)[:, :, None] * laws.sum(axis=1)[:, None, :]
-    return _ratio_functional(q, laws.reshape(len(laws), -1), prod.reshape(1, len(laws), -1))
-
-
 # Each trace kind as one kernel call on a block of laws (b, *rows.shape), given Q and pi.
 _KERNEL_CALLS = {
     "entropy": lambda q, pi, laws: -_ratio_functional(_U_LOG_U, np.ones(laws.shape[-1]), laws[None]),
@@ -70,7 +64,7 @@ _KERNEL_CALLS = {
     "kl_from_stationary": lambda q, pi, laws: _ratio_functional(_NEG_LOG, pi, laws[None]),
     "kl_pair": lambda q, pi, laws: _ratio_functional(_NEG_LOG, laws[:, 0], laws[None, :, 1]),
     "u_functional": lambda q, pi, laws: _ratio_functional(q, pi, laws[None]),
-    "j_functional": _joint_call,
+    "j_functional": lambda q, pi, laws: _independence_functional(q, laws),
     "v_functional": lambda q, pi, laws: _ratio_functional(q, laws[:, 0], np.moveaxis(laws[:, 1:], 1, 0)),
     # (1/2) sum p^2 / pi = sum pi Q(p / pi), Q(u) = u^2 / 2
     "circuit_energy": lambda q, pi, laws: _ratio_functional(_HALF_SQUARE, pi, laws[None]),

@@ -470,6 +470,12 @@ def test_grid_spec_values_and_validation():
         GridSpec(-1.0, 1.0, 4, log_spaced=False)
     with pytest.raises(BadGridError):
         GridSpec(1.0, 2.0, 2.5)
+    # numpy refuses these sizes at once, before any point is evaluated
+    for points, count in ((10**12, "1e+12"), (10**30, "1e+30"), (10**400, "1e+400")):
+        for log_spaced in (True, False):
+            with pytest.raises(BadGridError) as raised:
+                GridSpec(1.0, 2.0, points, log_spaced=log_spaced).values()
+            assert str(raised.value).startswith(f"{count} grid points cannot be held: ")
 
 
 def test_optimize_s_report_shape_and_endpoints():

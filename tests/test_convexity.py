@@ -235,6 +235,8 @@ def test_piecewise_linear_validation():
     for text in ("piecewise:0,0;inf,1", "piecewise:0,nan;1,1"):
         with pytest.raises(BadParamsError, match="breakpoints must be finite"):
             parse_q_spec(text)
+    with pytest.raises(BadParamsError, match=r"breakpoints must be \(x, y\) pairs"):
+        builtin("piecewise_linear", breakpoints=[(0.0, 1.0, 2.0), (1.0, 0.0, 1.0)])
     with pytest.raises(BadParamsError):
         builtin("unknown_q")
 
@@ -352,6 +354,10 @@ def test_verify_convexity_validates_box():
         verify_convexity(q, [(0.1, 1.0), (0.1, 1.0)])
     with pytest.raises(BadParamsError):
         verify_convexity(q, [(0.1, 1.0)], trials=0)
+    # a bare (lo, hi) pair is the box of an arity-1 function
+    assert verify_convexity(q, (0.1, 5.0), trials=20) == verify_convexity(q, [(0.1, 5.0)], trials=20)
+    with pytest.raises(BadParamsError):
+        verify_convexity(perspective(q), (0.1, 5.0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -380,7 +386,7 @@ def test_parse_parameterized_forms():
 
 
 def test_parse_rejects_malformed_specs():
-    for text in ("neg_pow:", "neg_pow:abc", "piecewise:1", "piecewise:1,2;3", "hexagon"):
+    for text in ("neg_pow:", "neg_pow:abc", "piecewise:1", "piecewise:1,2;3", "piecewise:0,a;1,1", "hexagon"):
         with pytest.raises(ParseError):
             parse_q_spec(text)
     # well-formed text with an out-of-range parameter is a domain problem

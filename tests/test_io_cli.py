@@ -339,8 +339,9 @@ def test_cli_drifting_kernel_traces_like_its_normalized_rows(capsys, tmp_path):
             "100000000000000",
             ["j_functional", "--q", "neg_log"],
         ),
+        (StochasticMatrix([[0.0, 1.0], [1.0, 0.0]]), "--steps", "1" + "0" * 400, ["entropy"]),
     ],
-    ids=["inf-horizon", "huge-horizon", "huge-steps", "huge-steps-joint"],
+    ids=["inf-horizon", "huge-horizon", "huge-steps", "huge-steps-joint", "steps-beyond-float"],
 )
 def test_cli_trajectory_that_cannot_be_held_exits_2(
     capsys, tmp_path, chain, flag, value, functional
@@ -757,6 +758,30 @@ def test_cli_bounds_grid_up_to_the_float_range(capsys, stop):
     code, out = _run(capsys, "--format", "csv", "bounds", "--K", "3", "--L", "2", "--grid-stop", stop)
     assert code == 0
     assert out.strip().split("\n")[-1] == f"{float(stop):.12g},0.666666666667,0.211324865405"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["bounds", "--K", "3", "--L", "2", "--grid-points", str(10**12)], "error: 1e+12 grid points cannot be held: "),
+        (["bounds", "--K", "3", "--L", "2", "--grid-points", str(10**30)], "error: 1e+30 grid points cannot be held: "),
+        (["bounds", "--K", "3", "--L", "2", "--grid-points", str(10**400)], "error: 1e+400 grid points cannot be held: "),
+        (["check", "--chain", "SUBNORMAL"], "error: stationary law is not strictly positive\n"),
+        (["evolve", "--chain", "SUBNORMAL", "--functional", "u_functional", "--q", "neg_sqrt", "--init", "uniform"],
+         "error: stationary law is not strictly positive\n"),
+    ],
+    ids=["grid-memory", "grid-dimension", "grid-beyond-float", "check-subnormal", "evolve-subnormal"],
+)
+def test_cli_refuses_a_grid_or_law_numpy_cannot_hold(capsys, tmp_path, argv, error):
+    """One typed error line and exit 2, with no RuntimeWarning (pytest fails on one)."""
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps({
+        "kind": "discrete", "n": 2, "matrix": [[0.22434580177714386, 0.7756541982228561], [5e-324, 1.0]],
+    }))
+    code = main([str(path) if arg == "SUBNORMAL" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(error) and captured.err.count("\n") == 1
 
 
 def test_cli_exit_codes(capsys, tmp_path, mod3_file):

@@ -96,6 +96,7 @@ OUT_OF_UNIT_IDS = ("above_one", "nan", "inf", "neg_inf", "negative")
             "transition probabilities must lie in [0, 1]",
         ),
         (lambda: JointDistribution([[0.5, 0.4], [0.0, 0.0]]), "joint sums to 0.9, expected 1"),
+        (lambda: JointDistribution([0.5, 0.5]), "need a nonempty 2-d table"),
         (lambda: embed_markov_triple(np.full((2, 2, 2), 0.1)), "joint sums to 0.8, expected 1"),
         *(
             (
@@ -110,7 +111,7 @@ OUT_OF_UNIT_IDS = ("above_one", "nan", "inf", "neg_inf", "negative")
         ),
     ],
     ids=[
-        "distribution", "rows", "entry", "joint", "triple",
+        "distribution", "rows", "entry", "joint", "joint_1d", "triple",
         *(f"entry_{name}" for name in OUT_OF_UNIT_IDS[1:]),
         *(f"crossover_{name}" for name in OUT_OF_UNIT_IDS),
     ],
@@ -141,6 +142,8 @@ def test_rate_matrix_rejects_negative_and_nonzero_diagonal():
         RateMatrix([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(BadParamsError):
         RateMatrix([[0.5, 1.0], [1.0, 0.0]])
+    with pytest.raises(BadParamsError, match="rate matrix must be square and nonempty"):
+        RateMatrix([[0.0, 1.0]])
 
 
 def test_rate_matrix_generator_rows_sum_to_zero():
@@ -451,15 +454,27 @@ def test_stationary_of_fast_mixing_dense_kernels_needs_no_elimination(monkeypatc
         assert _relative_error(pi, eliminated) <= 1e-12
 
 
-@pytest.mark.parametrize("up, down", [(10.0, 1.0), (1.0, 10.0)], ids=["rising", "falling"])
-def test_stationary_of_a_law_wider_than_the_float_range_raises(up, down):
-    """Entries spanning 1e399 cannot all be held: a typed error, not a wrong law or a warning."""
-    n = 400
+def _birth_death_rates(up, down, n=400):
     w = np.zeros((n, n))
     w[np.arange(n - 1), np.arange(1, n)] = up
     w[np.arange(1, n), np.arange(n - 1)] = down
+    return RateMatrix(w)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        _birth_death_rates(10.0, 1.0),
+        _birth_death_rates(1.0, 10.0),
+        # irreducible, but pi(0) is about 6.4e-324: elimination divides by a subnormal row sum
+        StochasticMatrix([[0.22434580177714386, 0.7756541982228561], [5e-324, 1.0]]),
+    ],
+    ids=["rising", "falling", "subnormal"],
+)
+def test_stationary_of_a_law_wider_than_the_float_range_raises(chain):
+    """A law whose entries span more than the float range cannot be held: a typed error, not a wrong law or a warning."""
     with pytest.raises(NonErgodicError, match="not strictly positive"):
-        stationary_distribution(RateMatrix(w))
+        stationary_distribution(chain)
 
 
 def test_stationary_rejects_a_long_path_cut_deep_inside():
@@ -508,6 +523,11 @@ def test_evolve_validates_dimensions_and_steps():
             evolve_distribution(chain, Distribution([1.0, 0.0, 0.0]), steps)
     for steps in (2.0, np.int64(2), True):
         assert len(evolve_distribution(chain, Distribution([1.0, 0.0, 0.0]), steps)) == int(steps) + 1
+    rates = RateMatrix([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(BadParamsError, match="requires a discrete-time chain"):
+        evolve_distribution(rates, Distribution([1.0, 0.0, 0.0]), 1)
+    with pytest.raises(BadParamsError, match="requires a continuous-time chain"):
+        integrate_master_equation(chain, Distribution([1.0, 0.0, 0.0]), 0.1, 1.0)
 
 
 def test_wrappers_check_once_and_return_frozen_rows():
@@ -587,11 +607,28 @@ def test_horizon_must_hold_a_finite_number_of_steps():
             horizon_steps(dt, horizon)
 
 
-@pytest.mark.parametrize("steps", [10**14, 10**302], ids=["memory", "dimension"])
-def test_propagate_refuses_a_trajectory_it_cannot_hold(steps):
-    """Both sizes exceed the address space, so numpy refuses them without allocating."""
-    with pytest.raises(BadParamsError, match="cannot be held"):
+@pytest.mark.parametrize(
+    "steps, count",
+    [(10**14, "1e+14"), (10**302, "1e+302"), (10**400, "1e+400")],
+    ids=["memory", "dimension", "beyond_float"],
+)
+def test_propagate_refuses_a_trajectory_it_cannot_hold(steps, count):
+    """All sizes exceed the address space, so numpy refuses them without allocating."""
+    with pytest.raises(BadParamsError) as raised:
         propagate(build_example_chain("cyclic", K=3), np.eye(3)[0], steps)
+    assert str(raised.value).startswith(f"{count} laws cannot be held: ")
+
+
+def test_counts_are_written_as_float_formatting_writes_them():
+    """Exact for counts of every size up to 1e300, ties and 53-bit rounding included."""
+    rng = np.random.default_rng(28)
+    counts = [*range(1, 2100), *(2**b + d for b in range(10, 997, 7) for d in (-1, 0, 1))]
+    for k in range(4, 300):
+        counts += [10**k - 1, 10**k + 1, 1235 * 10**k, 1235 * 10**k + 1, 9995 * 10**k - 1]
+        counts += [int(x) * 10 ** (k - 4) for x in rng.integers(1000, 10000, 3)]
+    assert [markov._count_text(n) for n in counts] == [f"{n:.3g}" for n in counts]
+    assert markov._count_text(10**400 + 1) == "1e+400"
+    assert markov._count_text(2**1024) == "1.8e+308"
 
 
 def test_evolve_measures_raises_at_a_vanishing_reference():
@@ -796,6 +833,8 @@ def test_backward_rejects_zero_mass_and_non_stationary_laws():
     two = StochasticMatrix([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ZeroProbabilityError):
         backward_matrix(two, Distribution([1.0, 0.0]))
+    with pytest.raises(DimensionMismatchError, match="law has 2 states, chain has 3"):
+        backward_matrix(chain, Distribution([0.5, 0.5]))
 
 
 # ------------------------------------------------------------ constructors
@@ -872,3 +911,7 @@ def test_build_rejects_bad_parameters():
         build_example_chain("mm1_truncated", lam=1.0, mu=2.0, n_states=1)
     with pytest.raises(BadParamsError):
         build_example_chain("brownian")
+    with pytest.raises(BadParamsError, match="custom chain needs a matrix"):
+        build_example_chain("custom", continuous=True)
+    with pytest.raises(BadParamsError, match="missing parameter 'K'"):
+        build_example_chain("mod_k_walk")

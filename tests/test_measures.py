@@ -15,6 +15,8 @@ from infodyn import (
     ArityMismatchError,
     BadCoefficientsError,
     BadParamsError,
+    ConvexFunction,
+    DimensionMismatchError,
     Distribution,
     EpsilonChannel,
     JointDistribution,
@@ -77,6 +79,8 @@ def test_kl_divergence_frozen_value_and_errors():
     assert kl_divergence(p, p) == 0.0
     with pytest.raises(SupportMismatchError):
         kl_divergence(Distribution([0.5, 0.5]), Distribution([1.0, 0.0]))
+    with pytest.raises(DimensionMismatchError, match=r"laws have shapes \(2,\) and \(3,\)"):
+        kl_divergence(p, [0.25, 0.25, 0.5])
 
 
 # ------------------------------------------------------------ f-divergence
@@ -250,6 +254,8 @@ def test_zz_functional_arity_and_null_cell_rule():
     q = builtin("neg_log")
     with pytest.raises(ArityMismatchError):
         zakai_ziv_functional(q, joint, [PairMeasure(joint.table)] * 2)
+    with pytest.raises(DimensionMismatchError, match="measure grid does not match the joint law"):
+        zakai_ziv_functional(q, joint, [PairMeasure(np.ones((3, 2)))])
     sparse = JointDistribution([[0.5, 0.0], [0.25, 0.25]])
     heavy = PairMeasure([[0.1, 0.2], [0.1, 0.1]])
     direct = math.fsum([-0.5 * math.log(0.2), -0.25 * math.log(0.4), -0.25 * math.log(0.4)])
@@ -277,15 +283,23 @@ def _per_cell_sum(q, reference, companions):
     return math.fsum(terms), math.fsum(abs(t) for t in terms)
 
 
+def _scalar_square(u):
+    if np.ndim(u):
+        raise TypeError("one point at a time")
+    return u * u
+
+
 def test_ratio_kernel_matches_per_cell_calls():
     """One whole-array call per trajectory equals the per-cell sums, fallback included.
 
     multi_convex(4) takes a single vector only, so its whole-array call
-    returns one number and the kernel falls back to one call per cell.
+    returns one number, and `scalar_square` raises TypeError on an array:
+    for both the kernel falls back to one call per cell.
     """
     assert np.ndim(multi_convex(4).evaluator(np.ones((4, 3)))) == 0
     rng = np.random.default_rng(17)
     cases = [(q, 1) for q in all_builtins()]
+    cases += [(ConvexFunction("scalar_square", 1, _scalar_square, accepts_zero=True), 1)]
     cases += [(perspective(q), 2) for q in all_builtins()]
     cases += [(multi_convex(k), k) for k in (2, 3, 4)]
     for q, k in cases:
@@ -482,6 +496,13 @@ def test_mixed_information_coefficient_validation():
         mixed_measure_information(q, joint, np.ones(3), np.ones(4))
     with pytest.raises(BadCoefficientsError):
         mixed_measure_information(q, joint, -np.ones(4), np.ones(4))
+    with pytest.raises(BadCoefficientsError, match="t coefficients must be finite"):
+        mixed_measure_information(q, joint, np.ones(4), [1.0, np.nan, 0.0, 0.0])
+    with pytest.raises(BadCoefficientsError, match="extension weight s must be nonnegative"):
+        simple_extension_coefficients(joint, -0.5)
+    dead = JointDistribution([[0.5, 0.5], [0.0, 0.0]])
+    with pytest.raises(SupportMismatchError, match="weighted letter has zero marginal"):
+        mixed_measure_information(q, dead, [1.0, 0.0, 1.0], [1.0, 0.0, 0.0])
 
 
 def test_mixed_information_rejects_negative_companion_blend():
@@ -528,6 +549,8 @@ def test_expected_mixed_enumeration_cap():
         )
     with pytest.raises(BadCoefficientsError):
         expected_mixed_measure_information(builtin("neg_log"), joint, [0.0, 0.0], [0.0, 1.0], 1)
+    with pytest.raises(BadParamsError, match="need at least one letter"):
+        expected_mixed_measure_information(builtin("neg_log"), joint, [1.0], [0.0], 0)
 
 
 def _expected_per_tuple(q, joint, s, t, m):

@@ -15,6 +15,7 @@ from infodyn import (
     DimensionMismatchError,
     Distribution,
     EmptySeriesError,
+    JointDistribution,
     MeasureFamily,
     MissingInitError,
     NotSymmetricError,
@@ -26,6 +27,7 @@ from infodyn import (
     ZeroProbabilityError,
     builtin,
     build_example_chain,
+    generalized_mutual_information,
     h_theorem_rate,
     integrate_master_equation,
     shannon_entropy,
@@ -230,6 +232,18 @@ def test_j_functional_starts_at_entropy_and_decays():
     assert verdict(series, "non_increasing").holds
 
 
+def test_j_functional_is_the_mutual_information_of_each_joint_law():
+    """On a dyadic chain every joint law of (X_0, X_t) is exact in floats, so each value matches bit for bit."""
+    t = np.array([[2, 1, 1, 0], [1, 2, 0, 1], [0, 1, 2, 1], [1, 0, 1, 2]]) / 4.0
+    p = np.array([0.5, 0.25, 0.125, 0.125])
+    for q in (builtin("neg_log"), builtin("neg_sqrt"), builtin("neg_pow", s=0.3)):
+        series = trace_functional("j_functional", StochasticMatrix(t), q=q, inits={"init": Distribution(p)}, steps=12)
+        joint = np.diag(p)
+        for value in series.values:
+            assert value == generalized_mutual_information(q, JointDistribution(joint)), q.name
+            joint = joint @ t
+
+
 def test_traces_survive_row_sum_drift():
     """Rows summing to 1 + 5e-13 pass construction and must not fail mid-trace."""
     rng = np.random.default_rng(41)
@@ -324,24 +338,29 @@ def test_q_is_checked_before_the_first_step(kind):
 @pytest.mark.parametrize(
     "kind, inits, error",
     [
-        ("entropy", {"init": [1.0, 0.0, 0.0]}, "inits['init'] must be a Distribution"),
+        ("entropy", {"init": [1.0, 0.0, 0.0]}, BadParamsError("inits['init'] must be a Distribution")),
         (
             "kl_pair",
             {"init": Distribution([1.0, 0.0, 0.0]), "init2": [0.0, 1.0, 0.0]},
-            "inits['init2'] must be a Distribution",
+            BadParamsError("inits['init2'] must be a Distribution"),
         ),
         (
             "v_functional",
             {"family": Distribution([1.0, 0.0, 0.0])},
-            "inits['family'] must be a MeasureFamily",
+            BadParamsError("inits['family'] must be a MeasureFamily"),
+        ),
+        (
+            "kl_pair",
+            {"init": Distribution([1.0, 0.0, 0.0]), "init2": Distribution([0.5, 0.5])},
+            DimensionMismatchError("init has 3 states, init2 has 2"),
         ),
     ],
-    ids=["init", "init2", "family"],
+    ids=["init", "init2", "family", "init2_size"],
 )
 def test_init_types_are_checked_before_the_first_step(kind, inits, error):
-    with pytest.raises(BadParamsError) as raised:
+    with pytest.raises(type(error)) as raised:
         _huge_steps_trace(kind, q=builtin("neg_log"), inits=inits)
-    assert str(raised.value) == error
+    assert str(raised.value) == str(error)
 
 
 # ---------------------------------------------------------- entropy rate
