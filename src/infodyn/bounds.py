@@ -309,8 +309,9 @@ def optimize_s(config: ExampleConfig, grid: GridSpec | None = None) -> BoundRepo
     s_values = gs.values()
     if s_values[0] > 0.0:
         s_values = np.concatenate(([0.0], s_values))
-    psi_values = np.array([psi_exact(s, config) for s in s_values])
-    d_values = np.array([distortion_bound(p) for p in psi_values])
+    count = len(s_values)  # filled in place: no list of Python floats per grid point
+    psi_values = np.fromiter((psi_exact(s, config) for s in s_values), float, count=count)
+    d_values = np.fromiter((distortion_bound(p) for p in psi_values), float, count=count)
 
     d_at_zero = float(d_values[0])  # the grid always starts at s = 0
     d_at_limit = distortion_bound(psi_limit(config))

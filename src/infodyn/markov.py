@@ -110,10 +110,10 @@ def _wrap_rows(cls, name: str, laws: np.ndarray, ok=True, **fields) -> list:
     if not np.all(ok):
         cls(laws[np.argmin(ok)], **fields)
     laws.setflags(write=False)
-    out = []
+    new, out = object.__new__, []
     for row in laws:
-        out.append(object.__new__(cls))
-        out[-1].__dict__.update({name: row, **fields})
+        out.append(obj := new(cls))
+        obj.__dict__.update({name: row, **fields})
     return out
 
 
@@ -374,12 +374,14 @@ def _step_map(chain: Chain, rows: np.ndarray, steps: int, dt: float | None = Non
         raise BadParamsError("steps must be a nonnegative integer")
     if steps < 0:
         raise BadParamsError("steps must be nonnegative")
+    matmul, add = np.matmul, np.add  # bound once: the step runs once per law
     if isinstance(chain, RateMatrix):
         d = _rk4_increment(chain, dt)
-        return lambda law, out: np.add(law, law @ d, out=out)
+        return lambda law, out: add(law, matmul(law, d), out=out)
     if dt is not None:
         raise BadParamsError("dt applies to rate matrices only")
-    return lambda law, out: np.matmul(law, chain.matrix, out=out)
+    kernel = chain.matrix
+    return lambda law, out: matmul(law, kernel, out=out)
 
 
 def _count_text(n: int) -> str:
@@ -418,8 +420,9 @@ def propagate(
     step = _step_map(chain, rows, steps, dt)
     times, laws = _series(steps, np.shape(rows), dt)
     laws[0] = rows
-    for k in range(1, len(laws)):
-        step(laws[k - 1], laws[k])
+    views = list(laws)
+    for law, out in zip(views, views[1:]):
+        step(law, out)
     return times, laws
 
 

@@ -128,24 +128,40 @@ class PairMeasure:
 def shannon_entropy(p: Distribution) -> float:
     """Entropy in nats, with the 0 log 0 = 0 convention."""
     probs = p.probs
+    if probs.all():  # entries are nonnegative, so all positive: no gathers
+        return float(-np.add.reduce(probs * np.log(probs)))
     pos = probs > 0.0
-    return float(-np.sum(probs[pos] * np.log(probs[pos])))
+    return float(-np.add.reduce(probs[pos] * np.log(probs[pos])))
 
 
 def kl_divergence(p, base) -> float:
     """Classical divergence sum p log(p / base) in nats.
 
-    Accepts Distributions or raw vectors.  Infinite when p keeps mass
-    where the base vanishes; that case raises rather than returning inf.
+    Accepts Distributions or raw vectors; a raw vector must be 1-d, finite
+    and nonnegative, else BadParamsError.  Infinite when p keeps mass where
+    the base vanishes; that case raises rather than returning inf.
     """
     a = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
     b = base.probs if isinstance(base, Distribution) else np.asarray(base, dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"laws have shapes {a.shape} and {b.shape}")
+    if a.ndim != 1:
+        raise BadParamsError(f"laws must be 1-d vectors, got shape {a.shape}")
+    # The common case, a and b positive and b finite, needs no gathers.
+    fast = a.size > 0 and np.minimum(a, b).min() > 0.0 and b.max() < np.inf
+    if fast:
+        total = float(np.add.reduce(a * np.log(a / b)))
+        if isfinite(total):  # so a is finite too: both laws are valid
+            return total
+    for law, given in ((a, p), (b, base)):
+        if not isinstance(given, Distribution) and not _finite_nonnegative(law):
+            raise BadParamsError("law entries must be finite and nonnegative")
+    if fast:  # a ratio overflowed, as it does in the masked sum
+        return total
     pos = a > 0.0
     if np.any(b[pos] == 0.0):
         raise SupportMismatchError("divergence is infinite: mass where the base law is zero")
-    return float(np.sum(a[pos] * np.log(a[pos] / b[pos])))
+    return float(np.add.reduce(a[pos] * np.log(a[pos] / b[pos])))
 
 
 def _require_arity(q: ConvexFunction, arity: int) -> None:

@@ -141,8 +141,9 @@ def trace_functional(
     kind steps one stack of rows: the law, the ``kl_pair`` pair, the
     family, or for ``j_functional`` the n x n joint law of (X_0, X_t).
     The step map writes each law in place into a block of at most
-    _BLEND_BLOCK_CELLS cells, one kernel call each, so only the value
-    series grows with `steps`; a block's last law steps into the next.
+    _BLEND_BLOCK_CELLS cells and at most steps + 1 laws, one kernel call
+    each, so only the value series grows with `steps`; a block's last law
+    steps into the next.
     """
     if kind not in TRACE_KINDS:
         raise BadParamsError(f"unknown trace kind {kind!r}")
@@ -163,15 +164,17 @@ def trace_functional(
     step = _step_map(chain, rows, steps, dt)
     times, values = _series(steps, dt=dt)
     pi = None if kind in _LAW_ONLY else stationary_distribution(chain).probs
-    per, last = max(1, _BLEND_BLOCK_CELLS // rows.size), len(times) - 1
-    block = np.empty((per, *rows.shape))
+    total, call = len(times), _KERNEL_CALLS[kind]
+    block = np.empty((min(max(1, _BLEND_BLOCK_CELLS // rows.size), total), *rows.shape))
     block[0] = rows
-    for k in range(last + 1):
-        i = k % per
-        if k:  # at i = 0, the last law of the block before
-            step(block[i - 1], block[i])
-        if i == per - 1 or k == last:
-            values[k - i : k + 1] = _KERNEL_CALLS[kind](q, pi, block[: i + 1])
+    views = list(block)
+    for start in range(0, total, len(views)):
+        laws = views[: total - start]
+        if start:  # the last law of the full block before
+            step(views[-1], laws[0])
+        for law, out in zip(laws, laws[1:]):
+            step(law, out)
+        values[start : start + len(laws)] = call(q, pi, block[: len(laws)])
     return TimeSeries(times, values)
 
 

@@ -83,6 +83,53 @@ def test_kl_divergence_frozen_value_and_errors():
         kl_divergence(p, [0.25, 0.25, 0.5])
 
 
+@pytest.mark.parametrize("zeros", [0, 1, 5])
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_entropy_and_kl_equal_the_masked_sums_byte_for_byte(n, zeros):
+    """The all-positive fast paths give the float the masked np.sum forms give."""
+    rng = np.random.default_rng(n + 10 * zeros)
+    for _ in range(20):
+        a, b = rng.random(n), rng.random(n)
+        a[rng.choice(n, min(zeros, n - 1), replace=False)] = 0.0
+        law_a, law_b = Distribution(a / a.sum()), Distribution(b / b.sum())
+        a, b = law_a.probs, law_b.probs
+        pos = a > 0.0
+        entropy = float(-np.sum(a[pos] * np.log(a[pos])))
+        kl = float(np.sum(a[pos] * np.log(a[pos] / b[pos])))
+        assert np.float64(shannon_entropy(law_a)).tobytes() == np.float64(entropy).tobytes()
+        for p, base in ((a, b), (law_a, law_b), (law_a, b)):
+            assert np.float64(kl_divergence(p, base)).tobytes() == np.float64(kl).tobytes()
+
+
+@pytest.mark.parametrize(
+    "p, base",
+    [
+        ([0.5, math.nan], [0.5, 0.5]),  # not masked away as a zero cell
+        ([0.5, 0.5], [0.5, math.nan]),
+        ([1.5, -0.5], [0.5, 0.5]),  # sums to 1, but is no law
+        ([0.5, 0.5], [math.inf, 0.5]),  # no -inf, and no RuntimeWarning
+        ([math.inf, 0.5], [0.5, 0.5]),
+    ],
+    ids=["nan-p", "nan-base", "negative-p", "inf-base", "inf-p"],
+)
+def test_kl_divergence_refuses_a_raw_vector_that_is_not_a_law(p, base):
+    with pytest.raises(BadParamsError, match="finite and nonnegative"):
+        kl_divergence(p, base)
+
+
+def test_kl_divergence_refuses_raw_tables():
+    with pytest.raises(BadParamsError, match="1-d"):
+        kl_divergence([[0.5, 0.5]], [[0.5, 0.5]])
+
+
+def test_kl_divergence_takes_valid_raw_laws_whose_ratio_overflows():
+    """The raw-vector check refuses no valid law: raw input gives what Distributions give."""
+    with np.errstate(over="ignore"):  # 0.5 / 5e-324 is past the float range
+        raw = kl_divergence([0.5, 0.5], [1.0, 5e-324])
+        laws = kl_divergence(Distribution([0.5, 0.5]), Distribution([1.0, 5e-324]))
+    assert np.float64(raw).tobytes() == np.float64(laws).tobytes()
+
+
 # ------------------------------------------------------------ f-divergence
 
 

@@ -442,8 +442,11 @@ def test_blocks_match_a_per_law_reference_at_their_boundaries(n, continuous):
 
     Traces of per - 1, per and per + 1 steps end one law short of, on, and
     one past a block boundary; every value must equal, byte for byte, one
-    kernel call on that law alone.  At n = 130 the j_functional joint law
-    has more than CELLS cells, so per = 1 and each step writes the row it reads.
+    kernel call on that law alone.  On a kernel, a trace of 2 per + 1 steps
+    also carries a law into a block twice (the block loop is the same for
+    rates, whose per-law reference would double this test's time).  At
+    n = 130 the j_functional joint law has more than CELLS cells, so per = 1
+    and each step writes the row it reads.
     """
     rng = np.random.default_rng(61 + n)
     if continuous:
@@ -465,10 +468,11 @@ def test_blocks_match_a_per_law_reference_at_their_boundaries(n, continuous):
         }.get(kind, init.probs)
         per = max(1, _BLEND_BLOCK_CELLS // rows.size)
         assert per > 1 or (kind, n) == ("j_functional", 130)
-        _, laws = propagate(chain, rows, per + 1, dt)
+        longest = per + 1 if continuous else 2 * per + 1
+        _, laws = propagate(chain, rows, longest, dt)
         reference = np.array([_per_law(kind, q, pi, law) for law in laws])
         inits = {"init": init, "init2": init2, "family": family}
-        for steps in (per - 1, per, per + 1):
+        for steps in (per - 1, per, per + 1, longest):
             series = trace_functional(kind, chain, q=q, inits=inits, steps=steps, dt=dt)
             assert series.values.tobytes() == reference[: steps + 1].tobytes(), (kind, steps)
 
@@ -485,3 +489,17 @@ def test_a_long_trace_holds_one_block_of_laws_not_the_trajectory():
     finally:
         tracemalloc.stop()
     assert peak < 2001 * 64 * 8, peak
+
+
+def test_a_short_trace_holds_a_block_of_its_own_length():
+    """31 laws of 16 states take 4 KiB: no block of CELLS cells (128 KiB) is allocated."""
+    rng = np.random.default_rng(63)
+    chain, init = random_chain(rng, 16), random_distribution(rng, 16)
+    trace_functional("u_functional", chain, q=builtin("neg_log"), inits={"init": init}, steps=1)
+    tracemalloc.start()
+    try:
+        trace_functional("u_functional", chain, q=builtin("neg_log"), inits={"init": init}, steps=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _BLEND_BLOCK_CELLS * 8, peak
