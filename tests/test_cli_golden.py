@@ -1,8 +1,10 @@
 """Byte-golden command line output: each case's stdout against recorded bytes.
 
-The cases cover all nine trace kinds, `check` with and without `--pi`, the
-five `measure` ops and `bounds` in JSON and CSV.  Laws are dyadic and the
-chain is a lazy 4-cycle, so every propagated law is exact on any BLAS.
+The cases cover all nine trace kinds, two of them also on a rate file
+through the RK4 step, `check` with and without `--pi`, the five `measure`
+ops and `bounds` in JSON and CSV.  Laws are dyadic and the chain is a lazy
+4-cycle, so every propagated law is exact on any BLAS; the RK4 laws are
+not, but 12 significant digits leave room for a last-bit difference.
 After an intended output change, re-record from the repository root with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -25,6 +27,11 @@ FIXTURES = {
         "kind": "discrete",
         "n": 4,
         "matrix": [[0.5, 0.5, 0, 0], [0, 0.5, 0.5, 0], [0, 0, 0.5, 0.5], [0.5, 0, 0, 0.5]],
+    },
+    "rates4": {
+        "kind": "continuous",
+        "n": 4,
+        "matrix": [[0, 1, 0, 0.5], [0.5, 0, 1, 0], [0, 0.5, 0, 1], [1, 0, 0.5, 0]],
     },
     "law": {"probs": [0.5, 0.25, 0.125, 0.125]},
     "law2": {"probs": [0.125, 0.125, 0.25, 0.5]},
@@ -49,6 +56,14 @@ CASES = {
     "evolve-v_functional": [*_EVOLVE, "v_functional", "--q", "neg_sqrt", "--family", "{family}"],
     "evolve-circuit_energy": [*_EVOLVE, "circuit_energy", "--init", "{law}"],
     "evolve-bhattacharyya": [*_EVOLVE, "bhattacharyya", "--init", "delta0"],
+    "evolve-rk4-entropy": [
+        "evolve", "--chain", "{rates4}", "--dt", "0.125", "--horizon", "2",
+        "--functional", "entropy", "--init", "delta0",
+    ],
+    "evolve-rk4-kl_to_stationary": [
+        "evolve", "--chain", "{rates4}", "--dt", "0.125", "--horizon", "2",
+        "--functional", "kl_to_stationary", "--init", "{law}",
+    ],
     "evolve-json": ["--format", "json", *_EVOLVE, "entropy", "--init", "uniform"],
     "check": ["check", "--chain", "{lazy4}"],
     "check-pi": ["check", "--chain", "{lazy4}", "--pi", "{uniform}"],
