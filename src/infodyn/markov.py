@@ -11,8 +11,12 @@ linear equation one RK4 step is exactly p <- p R, R = sum_{k<=4} (dt G)^k / k!
 with G the generator, so both time scales share one step map, `_step_map`.
 It writes law T, or law R as law + law D with D = R - I built once, into a
 row its caller preallocated: `propagate` fills one array for the evolve
-wrappers, and the traces fill one block of laws at a time.  `_series` gives
-the times of both at once.
+wrappers, and the traces fill one block of laws at a time.  Each step is one
+np.dot per law written into that row (for rates, into one increment row,
+then added to the law), on 1-d or 2-d rows only.  np.dot, not np.matmul:
+on such rows it makes the same BLAS call, byte for byte, without a ufunc's
+dispatch, which was half the cost of a step at n = 8.  `_series` gives the
+times of both at once.
 
 The stationary law has one solver at every n: power iteration on a lazy
 kernel, stopped on an entrywise bound from its observed contraction, which
@@ -113,7 +117,10 @@ def _wrap_rows(cls, name: str, laws: np.ndarray, ok=True, **fields) -> list:
     new, out = object.__new__, []
     for row in laws:
         out.append(obj := new(cls))
-        obj.__dict__.update({name: row, **fields})
+        obj.__dict__[name] = row
+    if fields:  # MeasureFamily's flag: a second pass keeps the row loop to one store
+        for obj in out:
+            obj.__dict__.update(fields)
     return out
 
 
@@ -363,25 +370,30 @@ def _rk4_increment(rates: RateMatrix, dt: float | None) -> np.ndarray:
 def _step_map(chain: Chain, rows: np.ndarray, steps: int, dt: float | None = None):
     """The one step law_{t+1} = law_t K, as `step(law, out)` writing into `out`.
 
-    `rows` has shape (..., n).  For a discrete chain K = T; for rates K is the
-    RK4 step matrix, applied as law + law D.  Arguments are checked, and the
-    kernel built, when the function is called; `out` may be `law` itself.
+    `rows` is one law (n,) or a stack of laws (m, n); `law` and `out` are
+    C-contiguous rows of that shape, and `out` may be `law` itself.  For a
+    discrete chain K = T; for rates K is the RK4 step matrix, applied as
+    law + law D through one increment row made here.  A 3-d stack is
+    refused: np.dot steps it off BLAS, bits apart from np.matmul.  Arguments
+    are checked, and the kernel built, when the function is called.
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 0 or rows.shape[-1] != chain.n:
+    if rows.ndim not in (1, 2):
+        raise DimensionMismatchError(f"rows have shape {rows.shape}; a step takes 1-d or 2-d rows")
+    if rows.shape[-1] != chain.n:
         raise DimensionMismatchError(f"rows have shape {rows.shape}, chain has {chain.n} states")
     if not _integral(steps):
         raise BadParamsError("steps must be a nonnegative integer")
     if steps < 0:
         raise BadParamsError("steps must be nonnegative")
-    matmul, add = np.matmul, np.add  # bound once: the step runs once per law
+    dot, add = np.dot, np.add  # bound once: the step runs once per law
     if isinstance(chain, RateMatrix):
-        d = _rk4_increment(chain, dt)
-        return lambda law, out: add(law, matmul(law, d), out=out)
+        d, inc = _rk4_increment(chain, dt), np.empty(rows.shape)
+        return lambda law, out: add(law, dot(law, d, inc), out=out)
     if dt is not None:
         raise BadParamsError("dt applies to rate matrices only")
     kernel = chain.matrix
-    return lambda law, out: matmul(law, kernel, out=out)
+    return lambda law, out: dot(law, kernel, out)
 
 
 def _count_text(n: int) -> str:

@@ -73,6 +73,7 @@ MAX_ENUMERATED_LETTERS = 3
 # and keeps each below glibc's 128 KiB mmap threshold: larger ones are mapped
 # afresh and page-faulted per block (2x slower at |X| = |Y| = 24).
 _BLEND_BLOCK_CELLS = 1 << 14
+_TINY = np.finfo(float).tiny  # below it, or above 2, an entry can put a ratio past the float range
 _INFINITE = "value is infinite: the second law vanishes where the weighting law has mass"
 _SUPERLINEAR = "value is infinite: the second law has mass where the weighting law vanishes"
 
@@ -128,7 +129,7 @@ class PairMeasure:
 def shannon_entropy(p: Distribution) -> float:
     """Entropy in nats, with the 0 log 0 = 0 convention."""
     probs = p.probs
-    if probs.all():  # entries are nonnegative, so all positive: no gathers
+    if np.count_nonzero(probs) == probs.size:  # entries are nonnegative: all positive, no gathers
         return float(-np.add.reduce(probs * np.log(probs)))
     pos = probs > 0.0
     return float(-np.add.reduce(probs[pos] * np.log(probs[pos])))
@@ -139,7 +140,9 @@ def kl_divergence(p, base) -> float:
 
     Accepts Distributions or raw vectors; a raw vector must be 1-d, finite
     and nonnegative, else BadParamsError.  Infinite when p keeps mass where
-    the base vanishes; that case raises rather than returning inf.
+    the base vanishes; that case raises rather than returning inf.  Any
+    other pair has a finite value, also where a ratio p / base leaves the
+    float range: such a cell is p (log p - log base).
     """
     a = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
     b = base.probs if isinstance(base, Distribution) else np.asarray(base, dtype=float)
@@ -147,21 +150,23 @@ def kl_divergence(p, base) -> float:
         raise DimensionMismatchError(f"laws have shapes {a.shape} and {b.shape}")
     if a.ndim != 1:
         raise BadParamsError(f"laws must be 1-d vectors, got shape {a.shape}")
-    # The common case, a and b positive and b finite, needs no gathers.
-    fast = a.size > 0 and np.minimum(a, b).min() > 0.0 and b.max() < np.inf
-    if fast:
-        total = float(np.add.reduce(a * np.log(a / b)))
-        if isfinite(total):  # so a is finite too: both laws are valid
-            return total
+    # The common case, every entry in [tiny, 2], is valid and keeps each ratio
+    # within (0, inf): it needs no checks and no gathers.
+    if a.size and np.minimum.reduce(np.minimum(np.minimum(a, b), 2.0 - np.maximum(a, b))) >= _TINY:
+        return float(np.add.reduce(a * np.log(a / b)))
     for law, given in ((a, p), (b, base)):
         if not isinstance(given, Distribution) and not _finite_nonnegative(law):
             raise BadParamsError("law entries must be finite and nonnegative")
-    if fast:  # a ratio overflowed, as it does in the masked sum
-        return total
     pos = a > 0.0
-    if np.any(b[pos] == 0.0):
+    a, b = a[pos], b[pos]
+    if np.any(b == 0.0):
         raise SupportMismatchError("divergence is infinite: mass where the base law is zero")
-    return float(np.add.reduce(a[pos] * np.log(a[pos] / b[pos])))
+    with np.errstate(over="ignore", divide="ignore"):  # a ratio past the float range
+        terms = a * np.log(a / b)
+    lost = np.isinf(terms)
+    if lost.any():
+        terms[lost] = a[lost] * (np.log(a[lost]) - np.log(b[lost]))
+    return float(np.add.reduce(terms))
 
 
 def _require_arity(q: ConvexFunction, arity: int) -> None:

@@ -76,7 +76,11 @@ _LAW_ONLY = ("entropy", "kl_pair", "j_functional", "v_functional")  # no station
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Scalar series over strictly increasing time points."""
+    """Scalar series of finite values over finite, strictly increasing time points.
+
+    A NaN or infinite time or value raises BadParamsError, so `verdict`
+    never judges a value that is not a number.
+    """
 
     times: np.ndarray
     values: np.ndarray
@@ -86,7 +90,9 @@ class TimeSeries:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
             raise BadParamsError("times and values must be 1-d and equally long")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise BadParamsError("times and values must be finite")
+        if not np.all(np.diff(t) > 0.0):  # NaN fails the comparison too
             raise BadParamsError("times must be strictly increasing")
         for name, arr in (("times", t), ("values", v)):
             object.__setattr__(self, name, _freeze(arr))

@@ -568,23 +568,47 @@ def test_evolve_holds_the_mass_of_a_drifting_kernel():
 
 @pytest.mark.parametrize("continuous", [False, True], ids=["kernel", "rates"])
 def test_propagate_equals_a_bare_loop_that_allocates_each_law(continuous):
-    """Laws stepped in place are byte-equal to p = p @ T, or p = p + p @ D for rates."""
+    """Laws stepped in place are byte-equal to p = p @ T, or p = p + p @ D for rates.
+
+    Sizes straddle the BLAS blocking edges, and rows are one law, a pair, a
+    family and an n x n stack, stepped into a fresh row and into the law itself.
+    """
     rng = np.random.default_rng(23)
-    if continuous:
-        w = rng.random((9, 9))
-        np.fill_diagonal(w, 0.0)
-        chain, dt = RateMatrix(w), 0.5 / w.sum(axis=1).max()
-        d = markov._rk4_increment(chain, dt)
-        step = lambda p: p + p @ d
-    else:
-        chain, dt = random_chain(rng, 9), None
-        step = lambda p: p @ chain.matrix
-    for rows in (random_distribution(rng, 9).probs, random_family(rng, 9, 2).measures):
-        _, laws = propagate(chain, rows, 40, dt)
-        p = rows
-        for law in laws:
-            assert law.tobytes() == p.tobytes()
-            p = step(p)
+    for n in (1, 2, 8, 63, 64, 65, 130):
+        if continuous:
+            w = rng.random((n, n))
+            np.fill_diagonal(w, 0.0)
+            chain, dt = RateMatrix(w), 0.5 / max(w.sum(axis=1).max(), 1.0)
+            d = markov._rk4_increment(chain, dt)
+            step = lambda p: p + p @ d
+        else:
+            chain, dt = random_chain(rng, n), None
+            step = lambda p: p @ chain.matrix
+        stacks = (
+            random_distribution(rng, n).probs,
+            random_family(rng, n, 1).measures,
+            random_family(rng, n, 3).measures,
+            rng.random((n, n)),
+        )
+        for rows in stacks:
+            _, laws = propagate(chain, rows, 40, dt)
+            in_place, step_map = rows.copy(), markov._step_map(chain, rows, 40, dt)
+            p = rows
+            for law in laws:
+                assert law.tobytes() == p.tobytes(), (n, rows.shape)
+                assert in_place.tobytes() == p.tobytes(), (n, rows.shape)
+                step_map(in_place, in_place)
+                p = step(p)
+
+
+def test_the_step_takes_only_1d_or_2d_rows():
+    """A 3-d stack would leave BLAS in np.dot and move bits: it is refused, as 0-d rows are."""
+    chain = random_chain(np.random.default_rng(25), 3)
+    for rows in (np.full((2, 2, 3), 1.0 / 3.0), np.array(1.0)):
+        with pytest.raises(DimensionMismatchError, match="1-d or 2-d rows"):
+            propagate(chain, rows, 1)
+    with pytest.raises(DimensionMismatchError, match=r"rows have shape \(2,\), chain has 3 states"):
+        propagate(chain, np.array([0.5, 0.5]), 1)
 
 
 def test_rk4_times_are_whole_multiples_of_the_step():

@@ -124,10 +124,22 @@ def test_kl_divergence_refuses_raw_tables():
 
 def test_kl_divergence_takes_valid_raw_laws_whose_ratio_overflows():
     """The raw-vector check refuses no valid law: raw input gives what Distributions give."""
-    with np.errstate(over="ignore"):  # 0.5 / 5e-324 is past the float range
-        raw = kl_divergence([0.5, 0.5], [1.0, 5e-324])
-        laws = kl_divergence(Distribution([0.5, 0.5]), Distribution([1.0, 5e-324]))
+    raw = kl_divergence([0.5, 0.5], [1.0, 5e-324])
+    laws = kl_divergence(Distribution([0.5, 0.5]), Distribution([1.0, 5e-324]))
     assert np.float64(raw).tobytes() == np.float64(laws).tobytes()
+
+
+def test_kl_divergence_is_finite_where_a_ratio_overflows():
+    """0.5 / 5e-324 is past the float range; its cell is 0.5 (log 0.5 - log 5e-324)."""
+    exact = 0.5 * math.log(0.5) + 0.5 * (math.log(0.5) - math.log(5e-324))
+    assert exact == 371.5268887801307
+    assert kl_divergence([0.5, 0.5], [1.0, 5e-324]) == exact
+    assert kl_divergence(Distribution([0.5, 0.5]), Distribution([1.0, 5e-324])) == exact
+
+
+def test_kl_divergence_is_finite_where_a_raw_ratio_underflows():
+    """5e-324 / 3 rounds to 0; its cell is 5e-324 (log 5e-324 - log 3), not -inf."""
+    assert kl_divergence([5e-324, 1.0], [3.0, 1.0]) == 5e-324 * (math.log(5e-324) - math.log(3.0))
 
 
 # ------------------------------------------------------------ f-divergence

@@ -55,6 +55,21 @@ def test_time_series_validation():
     assert len(empty) == 0
 
 
+@pytest.mark.parametrize(
+    "times, values",
+    [
+        ([0.0, math.nan, 2.0], [1.0, 0.5, 0.2]),  # np.diff(t) <= 0 is False for NaN
+        ([0.0, 1.0, math.inf], [1.0, 0.5, 0.2]),
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 0.2]),  # verdict would read max_violation=nan
+        ([0.0, 1.0], [math.inf, math.inf]),  # verdict would warn on inf - inf
+    ],
+    ids=["nan-time", "inf-time", "nan-value", "inf-values"],
+)
+def test_time_series_refuses_non_finite_entries(times, values):
+    with pytest.raises(BadParamsError, match="must be finite"):
+        TimeSeries(times, values)
+
+
 def test_time_series_is_frozen():
     series = TimeSeries([0.0, 1.0], [3.0, 2.0])
     with pytest.raises(ValueError):
