@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the benchmark, summarized against its bounds.
 
     python3 tools/bench_pairs.py --parent REV --seeds 3 4 5 6 7 8 9 10 11 12 \
-        --workload trace-long --out BENCH_19.json
+        --workload trace-long --out BENCH.json
 
 Extracts the parent and the change (default HEAD) with `git archive` into
 two sibling directories of one fresh temporary directory, so both sit at
