@@ -118,9 +118,7 @@ def _wrap_rows(cls, name: str, laws: np.ndarray, ok=True, **fields) -> list:
     for row in laws:
         out.append(obj := new(cls))
         obj.__dict__[name] = row
-    if fields:  # MeasureFamily's flag: a second pass keeps the row loop to one store
-        for obj in out:
-            obj.__dict__.update(fields)
+        obj.__dict__.update(fields)
     return out
 
 

@@ -34,3 +34,24 @@ def test_judge_counts_wins_and_losses_without_ties():
     m = bench_pairs.judge(P90, [10.0, 10.0, 10.0, 10.0], [9.0, 10.0, 11.0, 8.0])
     assert (m["wins"], m["losses"], m["pairs"]) == (2, 1, 4)
     assert m["parent_quartiles"] == [10.0, 10.0]
+
+
+def _runs(parent, change, failed):
+    """Paired runs of ops_per_s; `failed` gives each side's failed ops out of 100 per run."""
+    def side(value, name):
+        return {"metrics": {"ops_per_s": {"value": value}}, "attempted": 100, "failed": failed[name], "correct": True}
+    return [{"parent": side(p, "parent"), "change": side(c, "change")} for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize(
+    "failed, verdict",
+    [({"parent": 0, "change": 0}, "gain"), ({"parent": 1, "change": 1}, "gain"),
+     ({"parent": 0, "change": 1}, "within bound"), ({"parent": 2, "change": 1}, "gain")],
+    ids=["none-fail", "equal-share", "change-fails-more", "change-fails-less"],
+)
+def test_summarize_counts_no_gain_when_the_change_fails_more_ops(failed, verdict):
+    runs = _runs([100, 101, 102, 103, 104] * 2, [130] * 10, failed)
+    out = bench_pairs.summarize([OPS], runs)
+    assert out["metrics"]["ops_per_s"]["verdict"] == verdict
+    assert out["ops"]["change"]["failed"] == 10 * failed["change"]
+

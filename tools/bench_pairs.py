@@ -3,9 +3,10 @@
     python3 tools/bench_pairs.py --parent REV --seeds 3 4 5 6 7 8 9 10 11 12 \
         --workload trace-long --out BENCH.json
 
-Extracts the parent and the change (default HEAD) with `git archive` into
-two sibling directories of one fresh temporary directory, so both sit at
-the same depth under names of the same length.  For each seed it runs one
+Extracts the parent and the change, which is always HEAD, with `git
+archive` into two sibling directories of one fresh temporary directory, so
+both sit at the same depth under names of the same length.  To measure
+another revision, check it out first.  For each seed it runs one
 pair of `python3 bench/run.py --workload W --seed S --trace 0`, one run
 per side, alternating which side runs first.  Every run lasts
 BENCHMARK.json's run_seconds on both sides.  Each workload named (all of
@@ -17,8 +18,9 @@ wins (ties count for neither side) and a verdict:
 
   regression    the change's median is worse than the parent's by more
                 than the metric's bound;
-  gain          the change wins at least 9 in 10 pairs and its median is
-                better by more than the parent's interquartile range;
+  gain          the change wins at least 9 in 10 pairs, its median is
+                better by more than the parent's interquartile range, and
+                it fails no larger share of ops than the parent;
   unresolved    the parent's interquartile range is wider than the bound
                 and not every change run beats every parent run;
   within bound  otherwise.
@@ -112,10 +114,6 @@ def judge(metric: dict, parent: list, change: list) -> dict:
 def summarize(metrics: list, runs: list) -> dict:
     """Per-metric judgement and per-side op counts of one workload's paired runs."""
     out = {"metrics": {}, "ops": {}}
-    for metric in metrics:
-        name = metric["name"]
-        values = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in SIDES}
-        out["metrics"][name] = judge(metric, values["parent"], values["change"])
     for side in SIDES:
         attempted = sum(run[side]["attempted"] for run in runs)
         failed = sum(run[side]["failed"] for run in runs)
@@ -125,6 +123,13 @@ def summarize(metrics: list, runs: list) -> dict:
             "fail_ratio": failed / attempted if attempted else None,
             "all_correct": all(run[side]["correct"] for run in runs),
         }
+    fail_ratio = {side: out["ops"][side]["fail_ratio"] or 0.0 for side in SIDES}
+    for metric in metrics:
+        name = metric["name"]
+        values = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in SIDES}
+        judged = out["metrics"][name] = judge(metric, values["parent"], values["change"])
+        if fail_ratio["change"] > fail_ratio["parent"] and judged["verdict"] == "gain":  # a gain that fails more ops is no gain
+            judged["verdict"] = "within bound"
     return out
 
 
@@ -133,7 +138,6 @@ def main(argv=None) -> int:
     names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision the change is measured against")
-    parser.add_argument("--change", default="HEAD", help="revision of the change (default HEAD)")
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
     parser.add_argument("--workload", action="append", choices=names, help="repeatable; default all")
     parser.add_argument("--out", type=Path, required=True)
@@ -142,7 +146,7 @@ def main(argv=None) -> int:
     base = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         dirs = {side: base / side for side in SIDES}
-        shas = {side: extract(getattr(args, side), dirs[side]) for side in SIDES}
+        shas = {side: extract(rev, dirs[side]) for side, rev in zip(SIDES, (args.parent, "HEAD"))}
         report = {
             "parent": shas["parent"],
             "change": shas["change"],
