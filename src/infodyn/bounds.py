@@ -168,13 +168,11 @@ class BoundReport:
     best_d: float
 
 
-def _check_sk(s: float, k: int, l: int | None = None) -> None:
+def _check_sk(s: float, k: int) -> None:
     if s < 0.0 or not math.isfinite(s):
         raise BadParamsError("extension weight s must be finite and nonnegative")
     if k < 2:
         raise BadParamsError("alphabet size must be at least 2")
-    if l is not None and l < 2:
-        raise BadParamsError("channel alphabet must be at least 2")
 
 
 def rate_distortion_value(d: float, s: float, K: int) -> float:
@@ -214,7 +212,7 @@ def psi_exact(s: float, config: ExampleConfig) -> float:
     float range, where that expansion overflows, D stays a square.
     """
     k, l = config.K, config.L
-    _check_sk(s, k, l)
+    _check_sk(s, k)
     s = float(s)  # a numpy scalar would warn where the expansion overflows
     if s == 0.0:
         denom = float(l)
@@ -234,7 +232,7 @@ def psi_lower(s: float, config: ExampleConfig) -> float:
     rational function of s that shares the s -> infinity limit with psi.
     """
     k, l = config.K, config.L
-    _check_sk(s, k, l)
+    _check_sk(s, k)
     if s < l / 8.0:
         raise OutOfValidityRangeError(f"minorant requires s >= L/8 = {l / 8.0}")
     t = 4.0 * s + l

@@ -34,7 +34,7 @@ from .measures import (
 )
 from .monotonicity import TRACE_KINDS, trace_functional
 
-__all__ = ["ScenarioConfig", "run_scenario", "emit_report", "main"]
+__all__ = ["run_scenario", "emit_report", "main"]
 
 # Each measure op: the options it cannot run without, and its value from Q and the options.
 MEASURE_OPS = {
@@ -48,17 +48,6 @@ MEASURE_OPS = {
     )),
     "v": (("family",), lambda q, o: measure_family_functional(q, diskio.load_family(o["family"]))),
 }
-
-
-@dataclasses.dataclass(frozen=True)
-class ScenarioConfig:
-    """One parsed invocation: scenario kind plus its options."""
-
-    kind: str
-    options: dict
-    tol: float = 1e-9
-    out: str | None = None
-    fmt: str | None = None
 
 
 def _parse_init(token: str, n: int) -> Distribution:
@@ -75,8 +64,7 @@ def _parse_init(token: str, n: int) -> Distribution:
     return diskio.load_distribution(token)
 
 
-def _run_evolve(cfg: ScenarioConfig):
-    opts = cfg.options
+def _run_evolve(opts: dict):
     chain = diskio.load_chain(opts["chain"])
     inits = {k: _parse_init(opts[k], chain.n) for k in ("init", "init2") if opts.get(k) is not None}
     if opts.get("family") is not None:
@@ -90,22 +78,18 @@ def _run_evolve(cfg: ScenarioConfig):
     return "trace", series
 
 
-def _run_check(cfg: ScenarioConfig):
-    opts = cfg.options
+def _run_check(opts: dict):
     chain = diskio.load_chain(opts["chain"])
     if opts.get("pi") is not None:
         pi = diskio.load_distribution(opts["pi"])
     else:
         pi = stationary_distribution(chain)
-    return "json", dataclasses.asdict(check_balance(chain, pi, tol=cfg.tol))
+    return "json", dataclasses.asdict(check_balance(chain, pi, tol=opts["tol"]))
 
 
-def _run_measure(cfg: ScenarioConfig):
-    opts = cfg.options
+def _run_measure(opts: dict):
     op = opts["op"]
     q = parse_q_spec(opts["q"])
-    if op not in MEASURE_OPS:
-        raise BadParamsError(f"unknown measure op {op!r}")
     needs, evaluate = MEASURE_OPS[op]
     for key in needs:
         if opts.get(key) is None:
@@ -113,8 +97,7 @@ def _run_measure(cfg: ScenarioConfig):
     return "json", {"op": op, "q": opts["q"], "value": float(evaluate(q, opts))}
 
 
-def _run_bounds(cfg: ScenarioConfig):
-    opts = cfg.options
+def _run_bounds(opts: dict):
     config = ExampleConfig(K=opts["K"], L=opts["L"])
     grid = GridSpec(
         start=opts["grid_start"],
@@ -125,17 +108,15 @@ def _run_bounds(cfg: ScenarioConfig):
     return "report", optimize_s(config, grid)
 
 
-def run_scenario(cfg: ScenarioConfig):
-    """Execute one scenario; returns (payload kind, payload)."""
+def run_scenario(args: argparse.Namespace):
+    """Execute the scenario that `build_parser` parsed; returns (payload kind, payload)."""
     runner = {
         "evolve": _run_evolve,
         "check": _run_check,
         "measure": _run_measure,
         "bounds": _run_bounds,
-    }.get(cfg.kind)
-    if runner is None:
-        raise BadParamsError(f"unknown scenario {cfg.kind!r}")
-    return runner(cfg)
+    }[args.kind]
+    return runner(vars(args))
 
 
 def emit_report(tag: str, payload, out: str | None, fmt: str | None) -> str:
@@ -208,12 +189,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-
-    options = {k: v for k, v in vars(args).items() if k not in ("kind", "tol", "out", "fmt")}
-    cfg = ScenarioConfig(kind=args.kind, options=options, tol=args.tol, out=args.out, fmt=args.fmt)
     try:
-        tag, payload = run_scenario(cfg)
-        emit_report(tag, payload, cfg.out, cfg.fmt)
+        tag, payload = run_scenario(args)
+        emit_report(tag, payload, args.out, args.fmt)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

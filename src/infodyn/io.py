@@ -156,12 +156,9 @@ def _round_floats(obj):
     return obj
 
 
-def write_json(obj: dict, path=None) -> str:
-    """Render a report object with normalized floats; write when given a path."""
-    text = json.dumps(_round_floats(obj), indent=2) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+def write_json(obj: dict) -> str:
+    """Render a report object as JSON text with normalized floats."""
+    return json.dumps(_round_floats(obj), indent=2) + "\n"
 
 
 def _fmt(x: float) -> str:

@@ -531,12 +531,11 @@ def backward_matrix(chain: StochasticMatrix, pi: Distribution) -> StochasticMatr
 def build_example_chain(kind: str, **params) -> Chain:
     """Construct one of the stock chains.
 
-    kind selects the family:
+    kind selects the family; any other kind raises BadParamsError:
       * ``mod_k_walk``: discrete walk x -> (x +/- 1) mod K, each with prob 1/2.
       * ``cyclic``: deterministic rotation x -> (x + 1) mod K.
       * ``mm1_truncated``: birth-death rates of a single-server queue with
         arrival rate ``lam`` and service rate ``mu``, cut at ``n_states``.
-      * ``custom``: explicit ``matrix``, discrete unless ``continuous=True``.
     """
     if kind in ("mod_k_walk", "cyclic"):
         k = _int_param(params, "K")
@@ -553,12 +552,6 @@ def build_example_chain(kind: str, **params) -> Chain:
         if n < 2:
             raise BadParamsError("mm1_truncated needs n_states >= 2")
         return RateMatrix(np.diag(np.full(n - 1, lam), 1) + np.diag(np.full(n - 1, mu), -1))
-    if kind == "custom":
-        if "matrix" not in params:
-            raise BadParamsError("custom chain needs a matrix")
-        if params.get("continuous", False):
-            return RateMatrix(np.asarray(params["matrix"], dtype=float))
-        return StochasticMatrix(np.asarray(params["matrix"], dtype=float))
     raise BadParamsError(f"unknown chain kind {kind!r}")
 
 

@@ -1,5 +1,6 @@
 """File formats and the command line driver, exercised in process."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -25,8 +26,10 @@ from infodyn import (
     GridSpec,
     BadParamsError,
     f_divergence,
+    check_balance,
+    stationary_distribution,
 )
-from infodyn.cli import main
+from infodyn.cli import build_parser, main, run_scenario
 from infodyn.io import (
     load_chain,
     load_distribution,
@@ -142,16 +145,13 @@ def test_load_family_respects_positivity_flag(tmp_path):
         load_family(shaped)
 
 
-def test_write_json_normalizes_floats(tmp_path):
+def test_write_json_normalizes_floats():
     text = write_json({"pi": math.pi, "n": np.int64(3), "x": np.float64(1.0 / 3.0)})
     doc = json.loads(text)
     assert doc["pi"] == 3.14159265359
     assert doc["n"] == 3
     assert doc["x"] == 0.333333333333
     assert text.endswith("\n")
-    path = tmp_path / "out.json"
-    again = write_json({"pi": math.pi}, path)
-    assert path.read_text() == again
     assert write_json({"pi": math.pi}) == write_json({"pi": math.pi})
 
 
@@ -554,6 +554,20 @@ def test_cli_check_refuses_a_tolerance_that_is_not_finite_and_nonnegative(capsys
     save_chain(StochasticMatrix([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]), path)
     code, out = _run(capsys, f"--tol={tol}", "check", "--chain", str(path))
     assert code == 2 and out == ""
+
+
+def test_run_scenario_takes_the_parsed_arguments(tmp_path):
+    """The solved law's residual is one ulp, so --tol 0 flips the balance flags."""
+    path = tmp_path / "mm1.json"
+    save_chain(build_example_chain("mm1_truncated", n_states=5, lam=1.0, mu=3.0), path)
+    chain = load_chain(path)
+    pi = stationary_distribution(chain)
+    reports = []
+    for tol, flags in ((1e-9, []), (0.0, ["--tol", "0"])):
+        args = build_parser().parse_args([*flags, "check", "--chain", str(path)])
+        reports.append(dataclasses.asdict(check_balance(chain, pi, tol=tol)))
+        assert run_scenario(args) == ("json", reports[-1])
+    assert reports[0] != reports[1]
 
 
 def test_cli_check_with_wrong_candidate_law(capsys, tmp_path, mod3_file):

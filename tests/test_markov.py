@@ -913,14 +913,6 @@ def test_stock_builders_equal_their_loop_definitions():
             assert chain.matrix.tobytes() == expected.tobytes()
 
 
-def test_build_custom_chain():
-    m = [[0.1, 0.9], [0.4, 0.6]]
-    chain = build_example_chain("custom", matrix=m)
-    assert isinstance(chain, StochasticMatrix)
-    w = build_example_chain("custom", matrix=[[0.0, 1.0], [2.0, 0.0]], continuous=True)
-    assert isinstance(w, RateMatrix)
-
-
 def test_build_rejects_bad_parameters():
     for k in (math.nan, math.inf, 2.5):
         with pytest.raises(BadParamsError, match="must be an integer"):
@@ -935,7 +927,7 @@ def test_build_rejects_bad_parameters():
         build_example_chain("mm1_truncated", lam=1.0, mu=2.0, n_states=1)
     with pytest.raises(BadParamsError):
         build_example_chain("brownian")
-    with pytest.raises(BadParamsError, match="custom chain needs a matrix"):
-        build_example_chain("custom", continuous=True)
+    with pytest.raises(BadParamsError, match="unknown chain kind 'custom'"):
+        build_example_chain("custom", matrix=[[1.0]])
     with pytest.raises(BadParamsError, match="missing parameter 'K'"):
         build_example_chain("mod_k_walk")

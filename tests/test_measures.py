@@ -137,6 +137,12 @@ def test_kl_divergence_is_finite_where_a_ratio_overflows():
     assert kl_divergence(Distribution([0.5, 0.5]), Distribution([1.0, 5e-324])) == exact
 
 
+def test_kl_divergence_refuses_a_raw_pair_whose_value_passes_the_float_range():
+    """The first cell alone is 1e308 (log 1e308 - log 1e-300), about 1.4e311: no float holds it."""
+    with pytest.raises(BadParamsError, match="not finite"):
+        kl_divergence([1e308, 1e308], [1e-300, 1.0])
+
+
 def test_kl_divergence_is_finite_where_a_raw_ratio_underflows():
     """5e-324 / 3 rounds to 0; its cell is 5e-324 (log 5e-324 - log 3), not -inf."""
     assert kl_divergence([5e-324, 1.0], [3.0, 1.0]) == 5e-324 * (math.log(5e-324) - math.log(3.0))
