@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArityMismatchError, BadParamsError, ParseError, SupportMismatchError
+from .markov import _integral
 
 __all__ = [
     "ConvexFunction",
@@ -232,10 +233,13 @@ def verify_convexity(
     box = np.asarray(sample_box, dtype=float)
     if box.ndim == 1:
         box = box[None, :]
-    if box.shape != (q.arity, 2) or np.any(box[:, 0] >= box[:, 1]):
+    if box.shape != (q.arity, 2) or not (np.isfinite(box).all() and np.all(box[:, 0] < box[:, 1])):
         raise BadParamsError("sample box needs one (lo, hi) pair per argument, lo < hi")
     if trials < 1:
         raise BadParamsError("trials must be positive")
+    if not _integral(trials):
+        raise BadParamsError("trials must be an integer")
+    trials = int(trials)
 
     rng = np.random.default_rng(seed)
     lo, hi = box[:, 0], box[:, 1]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import ParseError
-from .markov import Distribution, MeasureFamily, RateMatrix, StochasticMatrix
+from .markov import Distribution, MeasureFamily, RateMatrix, StochasticMatrix, _integral
 from .measures import JointDistribution, PairMeasure
 from .monotonicity import MonotonicityVerdict, TimeSeries
 
@@ -168,7 +168,7 @@ def _fmt(x: float) -> str:
 def trace_csv_text(series: TimeSeries) -> str:
     lines = ["t,value"]
     for t, v in zip(series.times, series.values):
-        t_text = str(int(t)) if float(t).is_integer() else _fmt(t)
+        t_text = str(int(t)) if _integral(t) else _fmt(t)
         lines.append(f"{t_text},{_fmt(v)}")
     return "\n".join(lines) + "\n"
 

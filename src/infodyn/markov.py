@@ -95,11 +95,10 @@ def _normalized(a: np.ndarray, axis: int | None, message: str) -> np.ndarray:
     if np.any(off):
         total, rows = float(sums.flat[0]), np.flatnonzero(off).tolist()
         raise BadParamsError(message.format(total=total, rows=rows, atol=NORMALIZATION_ATOL))
-    out = _freeze(a)
+    out = np.array(a, dtype=float)
     if np.any(sums != 1.0):
-        out.setflags(write=True)
         out /= sums
-        out.setflags(write=False)
+    out.setflags(write=False)
     return out
 
 
@@ -395,32 +394,24 @@ def _step_map(chain: Chain, rows: np.ndarray, steps: int, dt: float | None = Non
 
 
 def _count_text(n: int) -> str:
-    """A count n >= 1 as f"{n:.3g}" writes it, without the float's range limit.
+    """f"{n:.3g}" of a count n >= 1; past the float range, its exact decimal rounded half to even."""
+    try:
+        return f"{n:.3g}"
+    except OverflowError:
+        from decimal import Decimal  # only on this refusal path: it costs every start-up 3.5 ms
 
-    n is rounded to 53 bits, half to even, as float() rounds it; the
-    exact decimal rounding of that value is the one float formatting makes.
-    """
-    from decimal import Decimal  # only on this refusal path: both cost every start-up 3.5 ms
-    from fractions import Fraction
-
-    shift = max(n.bit_length() - 53, 0)
-    n = round(Fraction(n, 1 << shift)) << shift
-    mantissa, exp = f"{Decimal(n):.2e}".split("e")
-    return str(n) if n < 1000 else f"{mantissa.rstrip('0').rstrip('.')}e{int(exp):+03d}"
-
-
-def _empty(shape: tuple, what: str, error: type = BadParamsError) -> np.ndarray:
-    """np.empty(shape), or `error` when numpy cannot hold shape[0] `what`."""
-    try:  # numpy refuses at once a size beyond the address space or its dimension limit
-        return np.empty(shape)
-    except (MemoryError, ValueError, OverflowError) as exc:
-        raise error(f"{_count_text(int(shape[0]))} {what} cannot be held: {exc}") from exc
+        mantissa, exp = f"{Decimal(n):.2e}".split("e")
+        return f"{mantissa.rstrip('0').rstrip('.')}e{int(exp):+03d}"
 
 
 def _series(steps: int, shape: tuple = (), dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Times k dt (k for a kernel), k = 0..steps, and empty values (steps+1, *shape)."""
-    values = _empty((int(steps) + 1, *shape), "laws")
-    return np.arange(int(steps) + 1, dtype=float) * (1.0 if dt is None else dt), values
+    total = int(steps) + 1
+    try:  # numpy refuses at once a size beyond the address space or its dimension limit
+        values = np.empty((total, *shape))
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise BadParamsError(f"{_count_text(total)} laws cannot be held: {exc}") from exc
+    return np.arange(total, dtype=float) * (1.0 if dt is None else dt), values
 
 
 def propagate(
@@ -564,7 +555,7 @@ def _int_param(params: dict, name: str) -> int:
 
 
 def _integral(value) -> bool:
-    """Whether `value` is a whole number; NaN, +-inf and strings are not."""
+    """Whether `value` is a whole number, the one test of a count; NaN, +-inf and strings are not."""
     try:
         return int(value) == value
     except (OverflowError, TypeError, ValueError):

@@ -47,6 +47,7 @@ from .markov import (
     StochasticMatrix,
     _finite_nonnegative,
     _freeze,
+    _integral,
     _normalized,
 )
 
@@ -351,7 +352,7 @@ def simple_extension_coefficients(joint: JointDistribution, s: float) -> tuple[n
     P(x,y) + s P(x)P(y) against the companion P(x)P(y); at s = 0 the value
     coincides with `generalized_mutual_information`.
     """
-    if s < 0.0:
+    if not 0.0 <= s < np.inf:  # NaN fails both
         raise BadCoefficientsError("extension weight s must be nonnegative")
     px = joint.marginal_x()
     return np.concatenate(([1.0], s * px)), np.concatenate(([0.0], px))
@@ -373,6 +374,9 @@ def expected_mixed_measure_information(
         raise TooManyLettersError(
             f"{num_letters} letters would enumerate {joint.nx}^{num_letters} tuples"
         )
+    if not _integral(num_letters):  # after the bounds, so +-inf keeps its refusal
+        raise BadParamsError("letter count must be an integer")
+    num_letters = int(num_letters)
     px = joint.marginal_x()
     letters = np.indices((joint.nx,) * num_letters).reshape(num_letters, -1).T
     weights = px[letters].prod(axis=1)

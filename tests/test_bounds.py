@@ -34,6 +34,7 @@ from infodyn import (
     report_to_dict,
     source_joint,
 )
+from infodyn.bounds import MAX_GRID_POINTS
 
 CONFIGS = [ExampleConfig(3, 2), ExampleConfig(5, 4), ExampleConfig(7, 4)]
 
@@ -458,6 +459,7 @@ def test_grid_spec_values_and_validation():
     assert np.array_equal(GridSpec(7.0, 7.0, 1).values(), [7.0])
     assert np.array_equal(GridSpec(0.0, 1.0, 1, log_spaced=False).values(), [0.0])
     assert np.array_equal(GridSpec(points=1).values(), [GridSpec.start])
+    assert np.array_equal(GridSpec(1.0, 2.0, True).values(), [1.0])  # a bool count is its int
     with pytest.raises(BadGridError):
         GridSpec(points=0)
     with pytest.raises(BadGridError):
@@ -476,6 +478,13 @@ def test_grid_spec_values_and_validation():
             with pytest.raises(BadGridError) as raised:
                 GridSpec(1.0, 2.0, points, log_spaced=log_spaced).values()
             assert str(raised.value).startswith(f"{count} grid points cannot be held: ")
+
+
+def test_grid_spec_caps_the_points_a_sweep_evaluates():
+    assert GridSpec(points=MAX_GRID_POINTS).points == MAX_GRID_POINTS
+    with pytest.raises(BadGridError) as raised:
+        GridSpec(points=MAX_GRID_POINTS + 1)
+    assert str(raised.value) == "1e+06 grid points cannot be held: a sweep takes at most 1000000 points"
 
 
 def test_optimize_s_report_shape_and_endpoints():

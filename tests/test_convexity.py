@@ -354,6 +354,9 @@ def test_verify_convexity_validates_box():
         verify_convexity(q, [(0.1, 1.0), (0.1, 1.0)])
     with pytest.raises(BadParamsError):
         verify_convexity(q, [(0.1, 1.0)], trials=0)
+    for box in ([(math.nan, 1.0)], [(0.1, math.nan)], [(0.1, math.inf)], [(-math.inf, 1.0)]):
+        with pytest.raises(BadParamsError, match="sample box"):
+            verify_convexity(q, box)
     # a bare (lo, hi) pair is the box of an arity-1 function
     assert verify_convexity(q, (0.1, 5.0), trials=20) == verify_convexity(q, [(0.1, 5.0)], trials=20)
     with pytest.raises(BadParamsError):

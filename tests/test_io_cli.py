@@ -774,6 +774,14 @@ def test_cli_bounds_grid_up_to_the_float_range(capsys, stop):
     assert out.strip().split("\n")[-1] == f"{float(stop):.12g},0.666666666667,0.211324865405"
 
 
+def test_cli_refuses_a_grid_past_the_sweep_cap_at_once(capsys):
+    """10^9 points would take about 15 minutes one by one; the cap refuses them before any."""
+    code = main(["bounds", "--K", "3", "--L", "2", "--grid-points", "1000000000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: 1e+09 grid points cannot be held: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [

@@ -653,6 +653,9 @@ def test_counts_are_written_as_float_formatting_writes_them():
     assert [markov._count_text(n) for n in counts] == [f"{n:.3g}" for n in counts]
     assert markov._count_text(10**400 + 1) == "1e+400"
     assert markov._count_text(2**1024) == "1.8e+308"
+    # past the float range the exact decimal rounds half to even
+    assert markov._count_text(1245 * 10**309) == "1.24e+312"
+    assert markov._count_text(1255 * 10**309) == "1.26e+312"
 
 
 def test_evolve_measures_raises_at_a_vanishing_reference():

@@ -563,8 +563,9 @@ def test_mixed_information_coefficient_validation():
         mixed_measure_information(q, joint, -np.ones(4), np.ones(4))
     with pytest.raises(BadCoefficientsError, match="t coefficients must be finite"):
         mixed_measure_information(q, joint, np.ones(4), [1.0, np.nan, 0.0, 0.0])
-    with pytest.raises(BadCoefficientsError, match="extension weight s must be nonnegative"):
-        simple_extension_coefficients(joint, -0.5)
+    for s in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(BadCoefficientsError, match="extension weight s must be nonnegative"):
+            simple_extension_coefficients(joint, s)
     dead = JointDistribution([[0.5, 0.5], [0.0, 0.0]])
     with pytest.raises(SupportMismatchError, match="weighted letter has zero marginal"):
         mixed_measure_information(q, dead, [1.0, 0.0, 1.0], [1.0, 0.0, 0.0])
