@@ -28,6 +28,7 @@ s + P(u,v) / (P(u) P(v)) then does not overflow at tiny s.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,8 @@ class ExampleConfig:
     L: int
 
     def __post_init__(self) -> None:
-        if not (_integral(self.K) and _integral(self.L)):
-            raise BadParamsError("alphabet sizes must be integers")
-        object.__setattr__(self, "K", int(self.K))
-        object.__setattr__(self, "L", int(self.L))
-        if self.L < 2:
-            raise BadParamsError("channel alphabet needs L >= 2")
+        object.__setattr__(self, "K", _alphabet_size(self.K))
+        object.__setattr__(self, "L", _alphabet_size(self.L))
         if not self.L < self.K <= 2 * self.L:
             raise BadParamsError(
                 f"need L < K <= 2L for a ratio in (1, 2], got K={self.K}, L={self.L}"
@@ -167,11 +164,20 @@ class BoundReport:
     best_d: float
 
 
-def _check_sk(s: float, k: int) -> None:
-    if s < 0.0 or not math.isfinite(s):
-        raise BadParamsError("extension weight s must be finite and nonnegative")
+def _alphabet_size(k) -> int:
+    """The one alphabet-size rule: a whole number from 2 to the largest float, as the formulas take it."""
+    if not _integral(k):
+        raise BadParamsError("alphabet sizes must be integers")
     if k < 2:
         raise BadParamsError("alphabet size must be at least 2")
+    if k > sys.float_info.max:
+        raise BadParamsError(f"alphabet size {_count_text(k)} is past the float range")
+    return int(k)
+
+
+def _check_s(s: float) -> None:
+    if s < 0.0 or not math.isfinite(s):
+        raise BadParamsError("extension weight s must be finite and nonnegative")
 
 
 def rate_distortion_value(d: float, s: float, K: int) -> float:
@@ -180,7 +186,8 @@ def rate_distortion_value(d: float, s: float, K: int) -> float:
     The maximizing test channel puts the same crossover d on every letter;
     concavity of the square root does the rest.
     """
-    _check_sk(s, K)
+    _check_s(s)
+    K = _alphabet_size(K)
     if not 0.0 <= d <= 1.0:
         raise BadParamsError("distortion must lie in [0, 1]")
     root_pair = math.sqrt(s + K * d) + math.sqrt(s + K * (1.0 - d))
@@ -193,7 +200,8 @@ def capacity_value(s: float, L: int) -> float:
     The uniform input is the minimizer of the negated value because
     t -> t / (sqrt(s + 1/t) + sqrt(s)) is convex on t > 0.
     """
-    _check_sk(s, L)
+    _check_s(s)
+    L = _alphabet_size(L)
     return -math.sqrt(s) - 1.0 / (math.sqrt(s) + math.sqrt(s + L))
 
 
@@ -211,7 +219,7 @@ def psi_exact(s: float, config: ExampleConfig) -> float:
     float range, where that expansion overflows, D stays a square.
     """
     k, l = config.K, config.L
-    _check_sk(s, k)
+    _check_s(s)
     s = float(s)  # a numpy scalar would warn where the expansion overflows
     if s == 0.0:
         denom = float(l)
@@ -229,19 +237,20 @@ def psi_lower(s: float, config: ExampleConfig) -> float:
 
     Comes from replacing sqrt(s + L) by its tangent bound; the result is a
     rational function of s that shares the s -> infinity limit with psi.
+    With t = 4s + L it reads
+
+        ((4s - L)/t)^2 + 16 K^2 s^2/t^4 - 8 L s/(K t) + 16 s^2/t^2 + 8 K s (4s - L)/t^3,
+
+    evaluated through x = L/(4s) in (0, 2], r = 4s/t = 1/(1 + x) and
+    (4s - L)/t = (1 - x)/(1 + x), so no term overflows at any finite s.
     """
     k, l = config.K, config.L
-    _check_sk(s, k)
+    _check_s(s)
     if s < l / 8.0:
         raise OutOfValidityRangeError(f"minorant requires s >= L/8 = {l / 8.0}")
-    t = 4.0 * s + l
-    return (
-        ((4.0 * s - l) / t) ** 2
-        + 16.0 * k**2 * s**2 / t**4
-        - 8.0 * l * s / (k * t)
-        + 16.0 * s**2 / t**2
-        + 8.0 * k * s * (4.0 * s - l) / t**3
-    )
+    x = 0.25 * l / s
+    theta, r, m = k / l, 1.0 / (1.0 + x), (1.0 - x) / (1.0 + x)
+    return m**2 + (theta * x * r**2) ** 2 - 2.0 * r / theta + r**2 + 2.0 * theta * x * r**2 * m
 
 
 def psi_limit(config: ExampleConfig) -> float:
@@ -342,7 +351,7 @@ def oracle_source_value(config: ExampleConfig, channel: EpsilonChannel, s: float
     constant crossover only; there it independently checks `rate_distortion_value`.
     """
     joint = source_joint(config.K, channel)
-    _check_sk(s, config.K)
+    _check_s(s)
     return -mixed_measure_information(_Q, joint, *reversed(simple_extension_coefficients(joint, s)))
 
 
@@ -352,7 +361,8 @@ def oracle_channel_value(p: Distribution, s: float) -> float:
     For input law p: sum_{x,y} p(x) p(y) sqrt(s + 1{x=y} / p(y)), dead letters
     dropped by the kernel's null-cell rule.  Independent check of `capacity_value`.
     """
-    _check_sk(s, p.n)
+    _check_s(s)
+    _alphabet_size(p.n)
     joint = JointDistribution(np.diag(p.probs))
     return -mixed_measure_information(_Q, joint, *reversed(simple_extension_coefficients(joint, s)))
 

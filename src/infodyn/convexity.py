@@ -30,7 +30,6 @@ __all__ = [
     "ConvexFunction",
     "PerspectiveFunction",
     "ConvexityResult",
-    "BUILTIN_NAMES",
     "builtin",
     "perspective",
     "verify_convexity",
@@ -38,16 +37,6 @@ __all__ = [
 ]
 
 CONVEXITY_TOL = 1e-9
-
-BUILTIN_NAMES = (
-    "u_log_u",
-    "neg_log",
-    "neg_pow",
-    "neg_sqrt",
-    "square",
-    "half_square",
-    "piecewise_linear",
-)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 """Bound curve, endpoints, and the brute-force oracles for both sides."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -318,6 +319,30 @@ def test_psi_lower_is_a_minorant_with_shared_limit():
             gap = psi_exact(float(s), cfg) - psi_lower(float(s), cfg)
             assert gap >= -1e-12
         assert abs(psi_lower(1e10, cfg) - psi_limit(cfg)) < 1e-6
+
+
+def _decimal_psi_lower(s: float, k: int, l: int) -> Decimal:
+    """The minorant in its rational form, t = 4s + L, to 50 digits from the float s."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s, k, l = Decimal(s), Decimal(k), Decimal(l)
+        t = 4 * s + l
+        m = (4 * s - l) / t
+        return m**2 + 16 * k**2 * s**2 / t**4 - 8 * l * s / (k * t) + 16 * s**2 / t**2 + 8 * k * s * m / t**2
+
+
+def test_psi_lower_matches_a_decimal_oracle():
+    for cfg in CONFIGS:
+        for s in (cfg.L / 8.0, cfg.L / 4.0, 1.0, 14.798705426388748, 8644.012395331136, 1e8, 1e77):
+            exact = _decimal_psi_lower(s, cfg.K, cfg.L)
+            assert abs(Decimal(psi_lower(s, cfg)) - exact) <= Decimal(1e-15), (cfg, s)
+
+
+@pytest.mark.parametrize("s", [1e77, 1e200, sys.float_info.max])
+def test_psi_lower_is_finite_up_to_the_float_range(s):
+    """t^4 leaves the float range from s near 1e77; the minorant keeps to its limit 2/3."""
+    cfg = ExampleConfig(3, 2)
+    assert abs(psi_lower(s, cfg) - psi_limit(cfg)) <= 1e-12
 
 
 def test_psi_lower_validity_gate():

@@ -4,9 +4,9 @@ Every invocation exits 0, 1 (I/O or parse error) or 2 (domain error),
 no exception escapes `main`, no RuntimeWarning is raised, and on exit 0
 stdout is JSON without NaN or Infinity, or CSV of finite numbers.  The
 generators keep subnormal, huge and non-numeric entries, and sizes that
-numpy cannot hold: a grid of 10^12 points and more, a step count past the
-float range.  Finite sizes stay small or far out of reach, so no case
-allocates much or runs long.
+numpy cannot hold: a grid of 10^12 points and more, a step count or an
+alphabet size past the float range.  Finite sizes stay small or far out
+of reach, so no case allocates much or runs long.
 
 `--hypothesis-profile=ci` (see conftest.py) runs more examples.
 """
@@ -156,7 +156,8 @@ def invocation(draw):
     else:
         ell = draw(st.integers(2, 5))
         k = draw(st.integers(ell + 1, 2 * ell))
-        k, ell = draw(st.sampled_from([(1, ell), (ell, ell), (2 * ell + 1, ell), (k, 1)])) if odd(draw) else (k, ell)
+        odd_sizes = [(1, ell), (ell, ell), (2 * ell + 1, ell), (k, 1), (10**308, 6 * 10**307), (10**400, 10**400 - 1)]
+        k, ell = draw(st.sampled_from(odd_sizes)) if odd(draw) else (k, ell)
         argv = ["bounds", "--K", str(k), "--L", str(ell), "--grid-points", pick(draw, GRID_POINTS)]
         argv += ["--grid-start", pick(draw, GRID_START), "--grid-stop", pick(draw, GRID_STOP)]
         argv += ["--linear"] if draw(st.booleans()) else []
@@ -188,6 +189,7 @@ SUBNORMAL_CHAIN = {"kind": "discrete", "n": 2, "matrix": [[0.22434580177714386, 
 @settings(derandomize=True, deadline=None)
 @given(invocation())
 @example((["bounds", "--K", "3", "--L", "2", "--grid-points", str(10**12)], {}))
+@example((["bounds", "--K", str(10**400), "--L", str(10**400 - 1)], {}))
 @example((["check", "--chain", "CHAIN"], {"CHAIN": SUBNORMAL_CHAIN}))
 @example((["evolve", "--chain", "CHAIN", "--functional", "entropy", "--init", "uniform", "--steps", "1" + "0" * 400],
           {"CHAIN": SUBNORMAL_CHAIN}))

@@ -19,7 +19,9 @@ from infodyn import (
     TooManyLettersError,
     build_example_chain,
     builtin,
+    capacity_value,
     expected_mixed_measure_information,
+    rate_distortion_value,
     trace_functional,
     verify_convexity,
 )
@@ -32,6 +34,8 @@ JOINT = JointDistribution([[0.3, 0.1], [0.2, 0.4]])
 COUNTS = {
     "K": (lambda n: ExampleConfig(n + 1, 2), BadParamsError),  # K = n + 1 over L = 2
     "L": (lambda n: ExampleConfig(3, n), BadParamsError),
+    "rate_K": (lambda n: rate_distortion_value(0.5, 0.0, n), BadParamsError),
+    "capacity_L": (lambda n: capacity_value(0.0, n), BadParamsError),
     "points": (lambda n: GridSpec(1.0, 4.0, n).values(), BadGridError),
     "num_letters": (
         lambda n: expected_mixed_measure_information(builtin("neg_log"), JOINT, [1.0, 0, 0], [0.0, 1, 1], n),
@@ -61,3 +65,18 @@ def test_a_whole_float_count_behaves_like_the_int(name):
     """The repr shows the count's type where a result keeps it, so 2.0 must become 2."""
     call, _ = COUNTS[name]
     assert repr(call(2.0)) == repr(call(2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: ExampleConfig(n, n - 1),
+        lambda n: rate_distortion_value(0.5, 0.0, n),
+        lambda n: capacity_value(0.0, n),
+    ],
+    ids=["config", "rate_K", "capacity_L"],
+)
+def test_an_alphabet_size_past_the_float_range_raises(call):
+    """The bound's formulas take K and L as floats: a whole number past that range is refused."""
+    with pytest.raises(BadParamsError, match=r"^alphabet size 1e\+400 is past the float range$"):
+        call(10**400)

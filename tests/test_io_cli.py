@@ -766,6 +766,13 @@ def test_cli_bounds_rejects_bad_ratio(capsys):
     assert code == 2
 
 
+def test_cli_bounds_refuses_alphabet_sizes_past_the_float_range(capsys):
+    code = main(["bounds", "--K", str(10**400), "--L", str(10**400 - 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: alphabet size 1e+400 is past the float range\n"
+
+
 @pytest.mark.parametrize("stop", ["5e307", "1.7e308"])
 def test_cli_bounds_grid_up_to_the_float_range(capsys, stop):
     """4s overflows there; psi still reaches its limit 2/3 (pytest fails on a RuntimeWarning)."""

@@ -470,6 +470,35 @@ def test_an_infinite_value_says_so_at_arity_one():
     assert f_divergence(builtin("square"), p1, p2) == 2.0  # sum p2^2 / p1, Q(0) = 0
 
 
+_ALL_POSITIVE, _MASKED = [0.25, 0.25, 0.5], [0.5, 0.5, 0.0]
+_USER_NEG_LOG = ConvexFunction("user_neg_log", 1, lambda u: -np.log(u))
+_INFINITE_AT_0 = "value is infinite: the second law vanishes where the weighting law has mass ({} is infinite at 0)"
+
+
+@pytest.mark.parametrize(
+    "q, weights, message",
+    [
+        (builtin("neg_log"), _MASKED, _INFINITE_AT_0.format("neg_log")),
+        (_USER_NEG_LOG, _ALL_POSITIVE, _INFINITE_AT_0.format("user_neg_log")),
+        (_USER_NEG_LOG, _MASKED, _INFINITE_AT_0.format("user_neg_log")),
+        (perspective(builtin("neg_log")), _MASKED, "neg_log needs strictly positive arguments"),
+    ],
+    ids=["neg_log-masked", "user-all-positive", "user-masked", "perspective-masked"],
+)
+def test_a_q_that_refuses_zero_is_decided_in_both_kernel_branches(q, weights, message):
+    """A zero companion under a positive weight, with and without a null reference cell.
+
+    An arity-1 Q that refuses 0 makes the value infinite; a perspective keeps
+    its base's own message.  The all-positive neg_log and perspective cases are
+    in `test_an_infinite_value_says_so_at_arity_one`.
+    """
+    reference = np.array(weights)
+    companions = np.array([reference, [1.0, 0.0, 0.0]])[-q.arity :]
+    with pytest.raises(SupportMismatchError) as raised:
+        _ratio_functional(q, reference, companions)
+    assert str(raised.value) == message
+
+
 def test_family_functional_constant_ratio_and_divergence_form():
     fam = MeasureFamily([[0.2, 0.5, 0.3], [0.6, 1.5, 0.9]])  # companion = 3 * reference
     q = builtin("neg_sqrt")
