@@ -226,7 +226,7 @@ def psi_exact(s: float, config: ExampleConfig) -> float:
     else:
         denom = 2.0 * s + l + 2.0 * s * math.sqrt(1.0 + l / s)
     if math.isinf(denom):
-        root = math.sqrt(s) + math.sqrt(s + l)
+        root = math.sqrt(s) + math.hypot(math.sqrt(s), math.sqrt(l))  # sqrt(s + L) where s + L overflows
         return (k - 2 * l) / k * (2.0 * math.sqrt(s) / root) ** 2 + (1.0 + (k - 2 * l) / root / root) ** 2
     shift = (k - 2 * l) / denom
     return (k - 2 * l) / k * (4.0 * s / denom) + (1.0 + shift) ** 2
