@@ -54,17 +54,18 @@ def _parse_init(token: str, n: int) -> Distribution:
     """Accept 'uniform', 'delta<i>', or a distribution file path."""
     if token == "uniform":
         return Distribution(np.full(n, 1.0 / n))
-    if token.startswith("delta") and token.removeprefix("delta").isdigit():
-        i = int(token.removeprefix("delta"))
-        if i >= n:
+    digits = token.removeprefix("delta")
+    if token.startswith("delta") and digits.isdecimal():
+        i = "".join(map(str, map(int, digits))).lstrip("0") or "0"  # str(int(digits)) at any length
+        if len(i) > len(str(n)) or int(i) >= n:
             raise BadParamsError(f"delta{i} out of range for {n} states")
         probs = np.zeros(n)
-        probs[i] = 1.0
+        probs[int(i)] = 1.0
         return Distribution(probs)
     return diskio.load_distribution(token)
 
 
-def _run_evolve(opts: dict):
+def _run_evolve(opts: dict) -> str:
     chain = diskio.load_chain(opts["chain"])
     inits = {k: _parse_init(opts[k], chain.n) for k in ("init", "init2") if opts.get(k) is not None}
     if opts.get("family") is not None:
@@ -75,29 +76,31 @@ def _run_evolve(opts: dict):
     series = trace_functional(
         opts["functional"], chain, q=q, inits=inits, steps=steps, dt=dt
     )
-    return "trace", series
+    if opts["fmt"] == "json":  # traces default to CSV
+        return diskio.write_json(diskio.series_to_dict(series))
+    return diskio.trace_csv_text(series)
 
 
-def _run_check(opts: dict):
+def _run_check(opts: dict) -> str:
     chain = diskio.load_chain(opts["chain"])
     if opts.get("pi") is not None:
         pi = diskio.load_distribution(opts["pi"])
     else:
         pi = stationary_distribution(chain)
-    return "json", dataclasses.asdict(check_balance(chain, pi, tol=opts["tol"]))
+    return diskio.write_json(dataclasses.asdict(check_balance(chain, pi, tol=opts["tol"])))
 
 
-def _run_measure(opts: dict):
+def _run_measure(opts: dict) -> str:
     op = opts["op"]
     q = parse_q_spec(opts["q"])
     needs, evaluate = MEASURE_OPS[op]
     for key in needs:
         if opts.get(key) is None:
             raise MissingInitError(f"measure {op} needs --{key}")
-    return "json", {"op": op, "q": opts["q"], "value": float(evaluate(q, opts))}
+    return diskio.write_json({"op": op, "q": opts["q"], "value": float(evaluate(q, opts))})
 
 
-def _run_bounds(opts: dict):
+def _run_bounds(opts: dict) -> str:
     config = ExampleConfig(K=opts["K"], L=opts["L"])
     grid = GridSpec(
         start=opts["grid_start"],
@@ -105,11 +108,14 @@ def _run_bounds(opts: dict):
         points=opts["grid_points"],
         log_spaced=not opts["linear"],
     )
-    return "report", optimize_s(config, grid)
+    report = optimize_s(config, grid)
+    if opts["fmt"] == "csv":  # reports default to JSON
+        return diskio.report_csv_text(report)
+    return diskio.write_json(report_to_dict(report))
 
 
-def run_scenario(args: argparse.Namespace):
-    """Execute the scenario that `build_parser` parsed; returns (payload kind, payload)."""
+def run_scenario(args: argparse.Namespace) -> str:
+    """Execute the scenario that `build_parser` parsed; returns its rendered output."""
     runner = {
         "evolve": _run_evolve,
         "check": _run_check,
@@ -119,24 +125,13 @@ def run_scenario(args: argparse.Namespace):
     return runner(vars(args))
 
 
-def emit_report(tag: str, payload, out: str | None, fmt: str | None) -> str:
-    """Render a scenario result and write it to `out` (or stdout)."""
-    if tag == "trace" and fmt != "json":  # traces default to CSV, reports to JSON
-        text = diskio.trace_csv_text(payload)
-    elif tag == "trace":
-        text = diskio.write_json(diskio.series_to_dict(payload))
-    elif tag == "report" and fmt == "csv":
-        text = diskio.report_csv_text(payload)
-    elif tag == "report":
-        text = diskio.write_json(report_to_dict(payload))
-    else:
-        text = diskio.write_json(payload)
+def emit_report(text: str, out: str | None) -> None:
+    """Write a scenario's rendered output to `out` (or stdout)."""
     if out is not None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,8 +185,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        tag, payload = run_scenario(args)
-        emit_report(tag, payload, args.out, args.fmt)
+        emit_report(run_scenario(args), args.out)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

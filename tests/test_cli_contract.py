@@ -32,7 +32,7 @@ Q_SPECS = (
     ["neg_log", "u_log_u", "neg_sqrt", "square", "half_square", "neg_pow:0.3", "piecewise:0,1;1,0;4,3"],
     ["neg_pow:2", "neg_pow:abc", "piecewise:0,a;1,1", "piecewise:0,0;inf,1", "hexagon"],
 )
-INIT = (["uniform", "delta0", "FILE"], ["delta3", "delta9", "deltaX"])
+INIT = (["uniform", "delta0", "FILE"], ["delta3", "delta9", "deltaX", "delta\u00b2", "delta" + "5" * 5000])
 STEPS = (["0", "1", "7", "30"], ["-1", "nan", "abc", str(10**14), "1" + "0" * 400])
 DT_HORIZON = (
     [("0.1", "1"), ("0.005", "0.01"), ("0.005", "1")],
@@ -192,6 +192,9 @@ SUBNORMAL_CHAIN = {"kind": "discrete", "n": 2, "matrix": [[0.22434580177714386, 
 @example((["bounds", "--K", str(10**400), "--L", str(10**400 - 1)], {}))
 @example((["check", "--chain", "CHAIN"], {"CHAIN": SUBNORMAL_CHAIN}))
 @example((["evolve", "--chain", "CHAIN", "--functional", "entropy", "--init", "uniform", "--steps", "1" + "0" * 400],
+          {"CHAIN": SUBNORMAL_CHAIN}))
+@example((["evolve", "--chain", "CHAIN", "--functional", "entropy", "--init", "delta\u00b2"], {"CHAIN": SUBNORMAL_CHAIN}))
+@example((["evolve", "--chain", "CHAIN", "--functional", "entropy", "--init", "delta" + "5" * 5000],
           {"CHAIN": SUBNORMAL_CHAIN}))
 def test_every_invocation_exits_0_1_or_2_with_well_formed_output(folder, case):
     argv, files = case

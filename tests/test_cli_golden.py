@@ -13,6 +13,9 @@ After an intended output change, re-record from the repository root with
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -80,14 +83,19 @@ CASES = {
 }
 
 
-def _stdout(argv: list, folder: Path) -> str:
+def _argv(argv: list, folder: Path) -> list:
+    """`argv` with each fixture written to `folder` and named by its path."""
     paths = {}
     for name, doc in FIXTURES.items():
         paths[name] = folder / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
+    return [arg.format(**paths) for arg in argv]
+
+
+def _stdout(argv: list, folder: Path) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([arg.format(**paths) for arg in argv])
+        code = main(_argv(argv, folder))
     assert code == 0, argv
     return out.getvalue()
 
@@ -95,6 +103,26 @@ def _stdout(argv: list, folder: Path) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_stdout_matches_the_recorded_bytes(case, tmp_path):
     assert _stdout(CASES[case], tmp_path) == json.loads(GOLDEN.read_text())[case]
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    """The module entry point, in its own process: the golden bytes, --out, and exits 1 and 2."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "infodyn.cli", *argv], capture_output=True, env=env)
+        return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+    check = _argv(CASES["check"], tmp_path)
+    golden = json.loads(GOLDEN.read_text())["check"]
+    assert run(*check) == (0, golden, "")
+    out = tmp_path / "out.json"
+    assert run("--out", str(out), *check) == (0, "", "") and out.read_text() == golden
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    for code, argv in ((1, ["check", "--chain", str(malformed)]), (2, ["--tol", "-1", *check])):
+        exit_code, stdout, stderr = run(*argv)
+        assert (exit_code, stdout) == (code, "") and stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 if __name__ == "__main__":

@@ -25,10 +25,12 @@ from infodyn import (
     ExampleConfig,
     GridSpec,
     BadParamsError,
+    NonErgodicError,
     f_divergence,
     check_balance,
     stationary_distribution,
 )
+from infodyn import markov
 from infodyn.cli import build_parser, main, run_scenario
 from infodyn.io import (
     load_chain,
@@ -566,7 +568,7 @@ def test_run_scenario_takes_the_parsed_arguments(tmp_path):
     for tol, flags in ((1e-9, []), (0.0, ["--tol", "0"])):
         args = build_parser().parse_args([*flags, "check", "--chain", str(path)])
         reports.append(dataclasses.asdict(check_balance(chain, pi, tol=tol)))
-        assert run_scenario(args) == ("json", reports[-1])
+        assert run_scenario(args) == write_json(reports[-1])
     assert reports[0] != reports[1]
 
 
@@ -846,6 +848,44 @@ def test_cli_exit_codes(capsys, tmp_path, mod3_file):
     code, _ = _run(capsys, "evolve", "--chain", mod3_file,
                    "--functional", "entropy", "--init", "deltaX")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "token, index",
+    [("delta01", 1), ("delta\u0661", 1), ("delta" + "0" * 5000 + "2", 2)],
+    ids=["leading-zero", "arabic-indic-digit", "5001-digits"],
+)
+def test_cli_delta_index_is_the_integer_its_digits_name(capsys, mod3_file, token, index):
+    """Leading zeros and other scripts' decimal digits, at any length."""
+    argv = ["evolve", "--chain", mod3_file, "--functional", "entropy", "--steps", "3", "--init"]
+    assert _run(capsys, *argv, token) == _run(capsys, *argv, f"delta{index}")
+
+
+@pytest.mark.parametrize(
+    "token, code, err",
+    [
+        ("delta0007", 2, "error: delta7 out of range for 3 states\n"),
+        ("delta" + "5" * 5000, 2, f"error: delta{'5' * 5000} out of range for 3 states\n"),
+        ("delta\u00b2", 1, "error: [Errno 2] No such file or directory: 'delta\u00b2'\n"),
+    ],
+    ids=["leading-zeros", "5000-digits", "superscript"],
+)
+def test_cli_delta_index_out_of_range_or_not_decimal(capsys, mod3_file, token, code, err):
+    """Past int()'s 4300-digit limit the index is refused by its length; a superscript is a file name."""
+    assert main(["evolve", "--chain", mod3_file, "--functional", "entropy", "--init", token]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_a_stationary_residual_past_tolerance_is_refused(capsys, monkeypatch, tmp_path):
+    """The lazy 4-cycle is solved by elimination; a wrong law from it is caught by its residual."""
+    lazy4 = StochasticMatrix([[0.5, 0.5, 0, 0], [0, 0.5, 0.5, 0], [0, 0, 0.5, 0.5], [0.5, 0, 0, 0.5]])
+    path = tmp_path / "lazy4.json"
+    save_chain(lazy4, path)
+    monkeypatch.setattr(markov, "_gth", lambda chain: np.array([0.4, 0.2, 0.2, 0.2]))
+    with pytest.raises(NonErgodicError, match=r"^stationary residual 1\.000e-01 exceeds tolerance$"):
+        stationary_distribution(lazy4)
+    assert main(["check", "--chain", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: stationary residual 1.000e-01 exceeds tolerance\n")
 
 
 def test_cli_zero_steps_yields_single_row(capsys, mod3_file):
