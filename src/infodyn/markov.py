@@ -66,6 +66,8 @@ __all__ = [
 NORMALIZATION_ATOL = 1e-12
 #: Relative accuracy of each entry of a stationary law.
 STATIONARY_TOL = 1e-12
+#: Rows per band, and the side of a tile, of the balance check's flow.
+_TILE = 256
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -174,6 +176,10 @@ class RateMatrix:
             raise BadParamsError("rates must be finite and nonnegative")
         if np.any(np.diag(w) != 0.0):
             raise BadParamsError("rate matrix must have an exactly zero diagonal")
+        with np.errstate(over="ignore"):
+            wide = np.flatnonzero(w.sum(axis=1) == np.inf).tolist()
+        if wide:
+            raise BadParamsError(f"exit rates of rows {wide} sum past the float range")
         object.__setattr__(self, "matrix", _freeze(w))
 
     @property
@@ -294,29 +300,30 @@ def stationary_distribution(chain: Chain) -> Distribution:
     """
     tol = STATIONARY_TOL
     _require_strongly_connected(chain)
-    exit_rates = _exit_rates(chain)
-    hold = (1.05 * np.max(exit_rates) or 1.0) - exit_rates  # one state: no exit, any hold
-    pi = np.full(chain.n, 1.0 / chain.n)
-    changes = []
-    for sweeps in count(1):
-        prev = pi
-        pi = pi @ chain.matrix + hold * pi
-        pi /= pi.sum()
-        changes.append(float(np.max(np.abs(pi - prev) / pi)))
-        if not changes[-1] >= 64.0 * np.finfo(float).eps:  # rounding, or NaN: no rate to read
-            pi = _gth(chain)
-            break
-        if sweeps < 5:
-            continue
-        ratios = np.divide(changes[-4:], changes[-5:-1])
-        rho = min(ratios.max(), 1.0)
-        change = changes[-1]
-        settled = ratios[-1] <= 1.25 * ratios[:-1].max()  # a jump: a slower mode shows
-        if settled and change <= 2.0 * tol and 2.0 * rho * change <= tol * (1.0 - rho):
-            break
-        if not 2.0 * rho * change * rho ** max(chain.n - sweeps, 0) <= tol * (1.0 - rho):
-            pi = _gth(chain)  # more than n sweeps to go, or no contraction
-            break
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN go to _gth
+        exit_rates = _exit_rates(chain)
+        hold = (1.05 * np.max(exit_rates) or 1.0) - exit_rates  # one state: no exit, any hold
+        pi = np.full(chain.n, 1.0 / chain.n)
+        changes = []
+        for sweeps in count(1):
+            prev = pi
+            pi = pi @ chain.matrix + hold * pi
+            pi /= pi.sum()
+            changes.append(float(np.max(np.abs(pi - prev) / pi)))
+            if not changes[-1] >= 64.0 * np.finfo(float).eps:  # rounding, or NaN: no rate to read
+                pi = _gth(chain)
+                break
+            if sweeps < 5:
+                continue
+            ratios = np.divide(changes[-4:], changes[-5:-1])
+            rho = min(ratios.max(), 1.0)
+            change = changes[-1]
+            settled = ratios[-1] <= 1.25 * ratios[:-1].max()  # a jump: a slower mode shows
+            if settled and change <= 2.0 * tol and 2.0 * rho * change <= tol * (1.0 - rho):
+                break
+            if not 2.0 * rho * change * rho ** max(chain.n - sweeps, 0) <= tol * (1.0 - rho):
+                pi = _gth(chain)  # more than n sweeps to go, or no contraction
+                break
 
     if not np.all(pi > 0.0):  # NaN fails too
         raise NonErgodicError("stationary law is not strictly positive")
@@ -470,25 +477,51 @@ def integrate_master_equation(
     return [(0.0, init), *zip(times[1:].tolist(), _wrap_rows(Distribution, "probs", laws[1:]))]
 
 
+def _tiled_flow(p: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Column sums, row sums and max |F - F^T| of the flow F = p[:, None] * matrix.
+
+    F is formed one band of _TILE rows at a time, never whole.  The column
+    sums keep `F.sum(axis=0)`'s bits: numpy adds the rows of a C-order array
+    in row order, so the running sum rides as row 0 of the band it is
+    reduced with.  Each row sums on its own, so per-band row sums are exact.
+    The residual is a maximum over tile pairs of the upper triangle, which
+    no evaluation order changes.
+    """
+    n = p.size
+    band = np.zeros((min(_TILE, n) + 1, n))
+    cols, rows, residual = np.zeros(n), np.empty(n), 0.0
+    for i in range(0, n, _TILE):
+        k = min(_TILE, n - i)
+        fi = np.multiply(p[i : i + k, None], matrix[i : i + k], out=band[1 : k + 1])
+        rows[i : i + k] = fi.sum(axis=1)
+        for j in range(i, n, _TILE):
+            tile = fi[:, i : i + k] if j == i else p[j : j + _TILE, None] * matrix[j : j + _TILE, i : i + k]
+            residual = max(residual, float(np.abs(fi[:, j : j + _TILE] - tile.T).max()))
+        band[: k + 1].sum(axis=0, out=cols)
+        band[0] = cols
+    return cols, rows, residual
+
+
 def check_balance(chain: Chain, pi: Distribution, tol: float = 1e-9) -> BalanceReport:
     """Diagnose global balance, detailed balance, and double stochasticity.
 
     The doubly-stochastic flag is a property of discrete kernels (column
-    sums equal one) and is reported as False for rate matrices.
+    sums equal one) and is reported as False for rate matrices.  The flow
+    pi(x) K(x, x') is worked through tile by tile (`_tiled_flow`), with the
+    dense formula's results bit for bit.
     """
     if not 0.0 <= tol < np.inf:
         raise BadParamsError(f"tol must be finite and nonnegative, got {tol}")
     if pi.n != chain.n:
         raise DimensionMismatchError(f"law has {pi.n} states, chain has {chain.n}")
     p = pi.probs
-    flow = p[:, None] * chain.matrix
+    cols, rows, detailed_residual = _tiled_flow(p, chain.matrix)
     if isinstance(chain, StochasticMatrix):
-        global_residual = float(np.abs(flow.sum(axis=0) - p).max())
+        global_residual = float(np.abs(cols - p).max())
         doubly = bool(np.abs(chain.matrix.sum(axis=0) - 1.0).max() <= tol)
     else:
-        global_residual = float(np.abs(flow.sum(axis=0) - flow.sum(axis=1)).max())
+        global_residual = float(np.abs(cols - rows).max())
         doubly = False
-    detailed_residual = float(np.abs(flow - flow.T).max())
 
     global_ok = global_residual <= tol
     detailed_ok = detailed_residual <= tol and global_ok

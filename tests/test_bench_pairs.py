@@ -1,6 +1,7 @@
 """The verdicts of tools/bench_pairs.py on made-up paired runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -36,11 +37,14 @@ def test_judge_counts_wins_and_losses_without_ties():
     assert m["parent_quartiles"] == [10.0, 10.0]
 
 
-def _runs(parent, change, failed):
-    """Paired runs of ops_per_s; `failed` gives each side's failed ops out of 100 per run."""
-    def side(value, name):
-        return {"metrics": {"ops_per_s": {"value": value}}, "attempted": 100, "failed": failed[name], "correct": True}
-    return [{"parent": side(p, "parent"), "change": side(c, "change")} for p, c in zip(parent, change)]
+def _runs(parent, change, failed, wall_s=(60.0, 60.0)):
+    """Paired runs of ops_per_s; `failed` gives each side's failed ops out of 100 per run, `wall_s` each side's clock."""
+    def side(value, name, wall):
+        return {"metrics": {"ops_per_s": {"value": value}}, "attempted": 100, "failed": failed[name],
+                "correct": True, "wall_s": wall}
+    return [{"seed": 3 + i, "first": ("parent", "change")[i % 2],
+             "parent": side(p, "parent", wall_s[0]), "change": side(c, "change", wall_s[1])}
+            for i, (p, c) in enumerate(zip(parent, change))]
 
 
 @pytest.mark.parametrize(
@@ -55,3 +59,26 @@ def test_summarize_counts_no_gain_when_the_change_fails_more_ops(failed, verdict
     assert out["metrics"]["ops_per_s"]["verdict"] == verdict
     assert out["ops"]["change"]["failed"] == 10 * failed["change"]
 
+
+
+def test_summarize_keeps_each_run_and_totals_each_sides_wall_clock():
+    runs = _runs([100, 101, 102], [130, 131, 132], {"parent": 0, "change": 0}, wall_s=(58.5, 68.25))
+    out = bench_pairs.summarize([OPS], runs)
+    assert out["wall_s"] == {"parent": 3 * 58.5, "change": 3 * 68.25}
+    assert out["runs"][1] == {"seed": 4, "first": "change",
+                              "parent": {"ops_per_s": 101, "wall_s": 58.5}, "change": {"ops_per_s": 131, "wall_s": 68.25}}
+
+
+def test_run_once_times_the_whole_process(tmp_path):
+    """wall_s spans the process, untimed work included; the last stdout line is the result."""
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, sys, time\n"
+        "time.sleep(0.2)  # work the run does not time\n"
+        "print('progress')\n"
+        "print(json.dumps({'argv': sys.argv[1:], 'metrics': {}}))\n"
+    )
+    result = bench_pairs.run_once(tmp_path, "large-chains", 3, 20)
+    assert result["argv"] == ["--workload", "large-chains", "--seed", "3", "--seconds", "20", "--trace", "0"]
+    assert 0.2 <= result["wall_s"] < bench_pairs.RUN_TIMEOUT_S
+    json.dumps(result)  # a run record stays JSON

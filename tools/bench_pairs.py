@@ -25,8 +25,10 @@ wins (ties count for neither side) and a verdict:
                 and not every change run beats every parent run;
   within bound  otherwise.
 
-It also keeps every run's values and each side's failed and attempted op
-counts.  Standard library only, so it runs wherever the benchmark does.
+It also keeps every run's values, its wall clock (`wall_s`: timed ops,
+inputs and oracles alike) and each side's failed and attempted op counts,
+and prints each side's total wall clock per workload.  Standard library
+only, so it runs wherever the benchmark does.
 """
 
 import argparse
@@ -40,6 +42,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,15 +66,17 @@ def extract(rev: str, dest: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in `checkout`: the JSON of its last stdout line."""
+    """One untraced benchmark run in `checkout`: the JSON of its last stdout line, plus its `wall_s`."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # run.py imports its own src/
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    start = time.perf_counter()
     proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    wall_s = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout.name} {workload} seed {seed} exited {proc.returncode}: {proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "wall_s": wall_s}
 
 
 def quartiles(values: list) -> list:
@@ -112,8 +117,8 @@ def judge(metric: dict, parent: list, change: list) -> dict:
 
 
 def summarize(metrics: list, runs: list) -> dict:
-    """Per-metric judgement and per-side op counts of one workload's paired runs."""
-    out = {"metrics": {}, "ops": {}}
+    """Per-metric judgement, per-side op counts and wall clock, and each pair's values."""
+    out = {"metrics": {}, "ops": {}, "wall_s": {side: sum(run[side]["wall_s"] for run in runs) for side in SIDES}}
     for side in SIDES:
         attempted = sum(run[side]["attempted"] for run in runs)
         failed = sum(run[side]["failed"] for run in runs)
@@ -130,6 +135,12 @@ def summarize(metrics: list, runs: list) -> dict:
         judged = out["metrics"][name] = judge(metric, values["parent"], values["change"])
         if fail_ratio["change"] > fail_ratio["parent"] and judged["verdict"] == "gain":  # a gain that fails more ops is no gain
             judged["verdict"] = "within bound"
+    out["runs"] = [
+        {"seed": run["seed"], "first": run["first"],
+         **{side: {**{m["name"]: run[side]["metrics"][m["name"]]["value"] for m in metrics},
+                   "wall_s": run[side]["wall_s"]} for side in SIDES}}
+        for run in runs
+    ]
     return out
 
 
@@ -168,16 +179,12 @@ def main(argv=None) -> int:
                     f"{side} ops_per_s {pair[side]['metrics']['ops_per_s']['value']:.4g}" for side in SIDES
                 ), flush=True)
             summary = summarize(bench["end_to_end"], runs)
-            summary["runs"] = [
-                {"seed": r["seed"], "first": r["first"],
-                 **{side: {m["name"]: r[side]["metrics"][m["name"]]["value"] for m in bench["end_to_end"]}
-                    for side in SIDES}}
-                for r in runs
-            ]
             report["workloads"][workload] = summary
             for name, m in summary["metrics"].items():
                 print(f"  {workload:<13} {name:<18} {m['parent_median']:>12.5g} -> {m['change_median']:<12.5g} "
                       f"wins {m['wins']}/{m['pairs']}  {m['verdict']}", flush=True)
+            print(f"  {workload:<13} {'wall_s (total)':<18} {summary['wall_s']['parent']:>12.5g} -> "
+                  f"{summary['wall_s']['change']:<12.5g}", flush=True)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     finally:
         shutil.rmtree(base, ignore_errors=True)
