@@ -72,6 +72,12 @@ def table(draw, rows, cols, high=1.0, normalize=True):
 def chain_doc(draw, n):
     if draw(st.booleans()):
         matrix = draw(table(n, n, normalize=False))
+        edge = draw(st.integers(0, 7))
+        if edge == 6:  # every rate subnormal: the lazy sweep's law rounds to 0 / 0
+            matrix = [[draw(st.sampled_from(SUBNORMAL)) for _ in range(n)] for _ in range(n)]
+        elif edge == 7 and n > 2:  # a row of two 1e308 rates: its exit rate is past the float range
+            i = draw(st.integers(0, n - 1))
+            matrix[i] = [1e308] * n
         for i in range(n):
             matrix[i][i] = 0.0
         return {"kind": "continuous", "n": n, "matrix": matrix}
@@ -184,6 +190,8 @@ def folder(tmp_path_factory):
 
 
 SUBNORMAL_CHAIN = {"kind": "discrete", "n": 2, "matrix": [[0.22434580177714386, 0.7756541982228561], [5e-324, 1.0]]}
+SUBNORMAL_RATES = {"kind": "continuous", "n": 2, "matrix": [[0.0, 5e-324], [5e-324, 0.0]]}
+WIDE_ROW_RATES = {"kind": "continuous", "n": 3, "matrix": [[0.0, 1e308, 1e308], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]}
 
 
 @settings(derandomize=True, deadline=None)
@@ -191,6 +199,8 @@ SUBNORMAL_CHAIN = {"kind": "discrete", "n": 2, "matrix": [[0.22434580177714386, 
 @example((["bounds", "--K", "3", "--L", "2", "--grid-points", str(10**12)], {}))
 @example((["bounds", "--K", str(10**400), "--L", str(10**400 - 1)], {}))
 @example((["check", "--chain", "CHAIN"], {"CHAIN": SUBNORMAL_CHAIN}))
+@example((["check", "--chain", "CHAIN"], {"CHAIN": SUBNORMAL_RATES}))
+@example((["check", "--chain", "CHAIN"], {"CHAIN": WIDE_ROW_RATES}))
 @example((["evolve", "--chain", "CHAIN", "--functional", "entropy", "--init", "uniform", "--steps", "1" + "0" * 400],
           {"CHAIN": SUBNORMAL_CHAIN}))
 @example((["evolve", "--chain", "CHAIN", "--functional", "entropy", "--init", "delta\u00b2"], {"CHAIN": SUBNORMAL_CHAIN}))

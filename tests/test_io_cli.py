@@ -800,19 +800,40 @@ def test_cli_refuses_a_grid_past_the_sweep_cap_at_once(capsys):
         (["check", "--chain", "SUBNORMAL"], "error: stationary law is not strictly positive\n"),
         (["evolve", "--chain", "SUBNORMAL", "--functional", "u_functional", "--q", "neg_sqrt", "--init", "uniform"],
          "error: stationary law is not strictly positive\n"),
+        (["check", "--chain", "WIDE"], "error: exit rates of rows [0] sum past the float range\n"),
+        (["evolve", "--chain", "WIDE", "--functional", "entropy", "--init", "uniform", "--dt", "1e-320"],
+         "error: exit rates of rows [0] sum past the float range\n"),
     ],
-    ids=["grid-memory", "grid-dimension", "grid-beyond-float", "check-subnormal", "evolve-subnormal"],
+    ids=["grid-memory", "grid-dimension", "grid-beyond-float", "check-subnormal", "evolve-subnormal",
+         "check-exit-past-float", "evolve-exit-past-float"],
 )
 def test_cli_refuses_a_grid_or_law_numpy_cannot_hold(capsys, tmp_path, argv, error):
     """One typed error line and exit 2, with no RuntimeWarning (pytest fails on one)."""
-    path = tmp_path / "subnormal.json"
-    path.write_text(json.dumps({
-        "kind": "discrete", "n": 2, "matrix": [[0.22434580177714386, 0.7756541982228561], [5e-324, 1.0]],
-    }))
-    code = main([str(path) if arg == "SUBNORMAL" else arg for arg in argv])
+    chains = {
+        "SUBNORMAL": {"kind": "discrete", "n": 2, "matrix": [[0.22434580177714386, 0.7756541982228561], [5e-324, 1.0]]},
+        "WIDE": {"kind": "continuous", "n": 3, "matrix": [[0.0, 1e308, 1e308], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]},
+    }
+    for name, doc in chains.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code = main([str(tmp_path / f"{arg}.json") if arg in chains else arg for arg in argv])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(error) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "matrix, residual",
+    [([[0.0, 5e-324], [5e-324, 0.0]], 0.0), ([[0.0, 1.75e308], [1.0, 0.0]], 4.4408920985e-16)],
+    ids=["all-subnormal", "exit-near-the-float-range"],
+)
+def test_cli_checks_rates_at_the_float_edges_quietly(capsys, tmp_path, matrix, residual):
+    """Elimination finds these laws after the sweep's NaN or inf; exit 0, no RuntimeWarning (pytest fails on one)."""
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"kind": "continuous", "n": 2, "matrix": matrix}))
+    code, out = _run(capsys, "check", "--chain", str(path))
+    assert code == 0
+    assert json.loads(out) == {"is_doubly_stochastic": False, "satisfies_global_balance": True,
+                               "satisfies_detailed_balance": True, "max_residual": residual}
 
 
 def test_cli_exit_codes(capsys, tmp_path, mod3_file):

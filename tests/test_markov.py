@@ -1,6 +1,7 @@
 """Chain construction, stationarity, balance, and evolution."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,14 @@ def test_rate_matrix_rejects_negative_and_nonzero_diagonal():
         RateMatrix([[0.5, 1.0], [1.0, 0.0]])
     with pytest.raises(BadParamsError, match="rate matrix must be square and nonempty"):
         RateMatrix([[0.0, 1.0]])
+
+
+def test_rate_matrix_refuses_a_row_whose_exit_rates_sum_past_the_float_range():
+    """Each rate is finite, their sum is not: one typed error, no RuntimeWarning (pytest fails on one)."""
+    with pytest.raises(BadParamsError, match=r"^exit rates of rows \[0, 2\] sum past the float range$"):
+        RateMatrix([[0.0, 1e308, 1e308], [1.0, 0.0, 1.0], [1e308, 1.7e308, 0.0]])
+    edge = RateMatrix([[0.0, 1e308, 7e307], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    assert edge.matrix.sum(axis=1)[0] == 1.7e308
 
 
 def test_rate_matrix_generator_rows_sum_to_zero():
@@ -475,6 +484,19 @@ def test_stationary_of_a_law_wider_than_the_float_range_raises(chain):
     """A law whose entries span more than the float range cannot be held: a typed error, not a wrong law or a warning."""
     with pytest.raises(NonErgodicError, match="not strictly positive"):
         stationary_distribution(chain)
+
+
+@pytest.mark.parametrize(
+    "rates, law",
+    [
+        ([[0.0, 5e-324], [5e-324, 0.0]], [0.5, 0.5]),  # the hold rounds to 0 and the swept law to 0 / 0
+        ([[0.0, 1.75e308], [1.0, 0.0]], [1.0 / (1.0 + 1.75e308), 1.0]),  # 1.05 times the exit rate overflows
+    ],
+    ids=["all-subnormal", "exit-near-the-float-range"],
+)
+def test_stationary_sweep_hands_rates_at_the_float_edges_to_elimination_quietly(rates, law):
+    """The sweep's NaN or inf routes to elimination, which finds the law; no RuntimeWarning (pytest fails on one)."""
+    assert stationary_distribution(RateMatrix(rates)).probs.tolist() == law
 
 
 def test_stationary_rejects_a_long_path_cut_deep_inside():
@@ -822,6 +844,67 @@ def test_balance_dimension_mismatch():
     for tol in (math.nan, math.inf, -math.inf, -1e-9):
         with pytest.raises(BadParamsError, match="tol must be finite and nonnegative"):
             check_balance(chain, Distribution([1 / 3, 1 / 3, 1 / 3]), tol=tol)
+
+
+def _dense_balance(chain, p, tol):
+    """check_balance's formula on the whole n x n flow, kept here as the oracle of the tiled one."""
+    flow = p[:, None] * chain.matrix
+    if isinstance(chain, StochasticMatrix):
+        global_residual = float(np.abs(flow.sum(axis=0) - p).max())
+        doubly = bool(np.abs(chain.matrix.sum(axis=0) - 1.0).max() <= tol)
+    else:
+        global_residual = float(np.abs(flow.sum(axis=0) - flow.sum(axis=1)).max())
+        doubly = False
+    detailed_residual = float(np.abs(flow - flow.T).max())
+    global_ok = global_residual <= tol
+    return flow, (doubly, global_ok, detailed_residual <= tol and global_ok, max(global_residual, detailed_residual))
+
+
+def _balance_case(kind, n, seed):
+    """A seeded chain and law: a kernel, rates, or a reversible kernel with its own law."""
+    rng = np.random.default_rng(seed)
+    w = rng.random((n, n)) ** 3
+    if kind == "reversible":
+        w += w.T
+        return StochasticMatrix(w / w.sum(axis=1, keepdims=True)), Distribution(w.sum(axis=1) / w.sum())
+    law = random_distribution(rng, n)
+    if kind == "rates":
+        np.fill_diagonal(w, 0.0)
+        return RateMatrix(w), law
+    return StochasticMatrix(w / w.sum(axis=1, keepdims=True)), law
+
+
+@pytest.mark.parametrize("kind", ["kernel", "rates", "reversible"])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+def test_balance_tiles_give_the_dense_formulas_bits(kind, n):
+    """Across the tile edges: all four fields at tol 0 and 1e-9, and the flow's sums bit for bit."""
+    chain, law = _balance_case(kind, n, seed=1000 * n + len(kind))
+    p = law.probs
+    for tol in (0.0, 1e-9):
+        flow, expected = _dense_balance(chain, p, tol)
+        report = check_balance(chain, law, tol=tol)
+        got = (report.is_doubly_stochastic, report.satisfies_global_balance,
+               report.satisfies_detailed_balance, report.max_residual)
+        assert repr(got) == repr(expected), (kind, n, tol)
+    cols, rows, residual = markov._tiled_flow(p, chain.matrix)
+    assert cols.tobytes() == flow.sum(axis=0).tobytes()
+    assert rows.tobytes() == flow.sum(axis=1).tobytes()
+    assert residual == float(np.abs(flow - flow.T).max())
+    if kind == "reversible":
+        assert report.satisfies_detailed_balance
+
+
+def test_balance_check_holds_a_band_of_the_flow_not_the_flow():
+    """At n = 2048 the dense formula's three n x n temporaries peak at 3.0 n^2; the bands stay below 0.5 n^2."""
+    n = 2048
+    chain, law = _balance_case("kernel", n, seed=27)
+    tracemalloc.start()
+    try:
+        check_balance(chain, law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * n * n * 8, peak / (n * n * 8)
 
 
 # --------------------------------------------------------------- reversal
